@@ -1,9 +1,10 @@
-"""Fast-path replay kernels for the learned-policy family.
+"""Fast-path replay kernels for the learned-policy family and Belady-MIN.
 
 :mod:`repro.cache.fastsim` dispatches into this module for the policies
 whose victim choice depends on *learned* state — DRRIP's set-duelling
-PSEL, SHiP/SHiP++'s signature outcome table, and the Hawkeye/Glider
-OPTgen-trained predictors.  Each kernel keeps the same structure-of-
+PSEL, SHiP/SHiP++'s signature outcome table, the Hawkeye/Glider
+OPTgen-trained predictors and MPPPB's multiperspective perceptron — and
+for the Belady-MIN oracle.  Each kernel keeps the same structure-of-
 arrays layout as the stateless kernels (flat per-set tag/dirty/RRPV
 lists, set/tag splitting and PC hashing vectorized up front with NumPy)
 and adds exactly the per-line and global state its policy needs:
@@ -15,6 +16,11 @@ and adds exactly the per-line and global state its policy needs:
 * ``glider``  — Hawkeye's layout with the counter table replaced by the
   ISVM weight table, per-core PCHR kept as parallel (pc, hash) lists,
   and per-line insertion-context tuples for eviction detraining.
+* ``mpppb``   — RRPV lists + one flat list of the nine perceptron weight
+  tables + one LRU-ordered dict per sampled set; each demand access's
+  nine table indices are hashed up front, history included.
+* ``belady``  — Belady-MIN: per-line next-use lists read from the
+  oracle's precomputed next-use array (no learned state at all).
 
 Parity is the contract: every kernel reproduces the reference engine's
 event stream ``(hit, bypassed, way, evicted_tag, evicted_dirty)``
@@ -35,6 +41,8 @@ pure hash to the same stored PC.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from ..obs import insight as obs_insight
@@ -48,13 +56,19 @@ __all__ = [
     "_replay_ship",
     "_replay_hawkeye",
     "_replay_glider",
+    "_replay_mpppb",
+    "_replay_belady",
     "_DRRIPKernel",
     "_ShipKernel",
     "_HawkeyeKernel",
     "_GliderKernel",
+    "_MPPPBKernel",
+    "_BeladyKernel",
 ]
 
 _KIND_LOAD, _KIND_STORE, _KIND_WRITEBACK = 0, 1, 2
+#: ``repro.optgen.belady.INF``: the next use of a line never used again.
+_NEVER = np.iinfo(np.int64).max
 
 
 def _decode_stream(stream, config: CacheConfig):
@@ -1360,5 +1374,447 @@ def _replay_glider(
         adapt_interval, num_sampled_sets, window_factor, tracker_ways,
         detrain, confidence_insertion,
     )
+    kernel.feed(stream, record)
+    return kernel.finish()
+
+
+# -- MPPPB --------------------------------------------------------------------
+
+#: Salts of MultiperspectivePredictor's nine feature tables, in order:
+#: pc, pc_hist_1, pc_hist_2, pc_hist_4, pc_hist_8, pc_xor_page, page,
+#: tag_bits, offset.
+_MPPPB_SALTS = (11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MPPPB_HISTORY = 8
+#: Demand rows converted to Python ints at a time: the (n, 10) index
+#: matrix stays in NumPy, so peak memory does not grow with the chunk.
+_MPPPB_BLOCK = 2048
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mix_array(values: np.ndarray, salt: int, bits: int) -> np.ndarray:
+    """Vectorized ``repro.policies.perceptron._mix`` (uint64 wraps like
+    the reference's ``& 0xFFFF...F``)."""
+    x = values ^ np.uint64((salt * 0x9E3779B97F4A7C15) & _U64)
+    x = x ^ (x >> np.uint64(12))
+    x = x * np.uint64(0xD6E8FEB86659FD93)
+    x = x ^ (x >> np.uint64(25))
+    return x & np.uint64((1 << bits) - 1)
+
+
+def _mpppb_features(
+    pcs: np.ndarray, addresses: np.ndarray, carry: np.ndarray, table_bits: int
+) -> np.ndarray:
+    """(n, 10) int64 rows for n demand accesses: the nine flat weight
+    indices (feature f's table starts at ``f << table_bits``), then the
+    sampler tag ``address >> 6``.
+
+    ``carry`` holds the 8 demand PCs before this chunk, oldest first
+    (zeros at stream start: an absent history entry contributes exactly
+    what a zero PC does to every feature).
+    """
+    ext = np.concatenate([carry, pcs])
+    n = len(pcs)
+    # hist[d][j] is the d-th most recent demand PC before access j.
+    hist = [
+        ext[_MPPPB_HISTORY - 1 - d : _MPPPB_HISTORY - 1 - d + n]
+        for d in range(_MPPPB_HISTORY)
+    ]
+    # _fold shifts entry i by i % 7, dropping bits past 64.
+    shifted = [h << np.uint64(d % 7) for d, h in enumerate(hist)]
+    fold4 = shifted[0] ^ shifted[1] ^ shifted[2] ^ shifted[3]
+    fold8 = fold4 ^ shifted[4] ^ shifted[5] ^ shifted[6] ^ shifted[7]
+    page = addresses >> np.uint64(12)
+    line = addresses >> np.uint64(6)
+    values = (
+        pcs,
+        hist[0],
+        hist[1],
+        fold4,
+        fold8,
+        pcs ^ page,
+        page,
+        line & np.uint64(0xFFFF),
+        line & np.uint64(0x3F),
+    )
+    out = np.empty((n, len(values) + 1), dtype=np.int64)
+    for f, (value, salt) in enumerate(zip(values, _MPPPB_SALTS)):
+        out[:, f] = _mix_array(value, salt, table_bits).astype(np.int64) + (
+            f << table_bits
+        )
+    out[:, len(values)] = line.astype(np.int64)
+    return out
+
+
+class _MPPPBKernel:
+    """MPPPB fast kernel: multiperspective perceptron + graded RRIP.
+
+    The nine feature tables are one flat weight list (feature ``f``'s
+    entries start at ``f << table_bits``), and each demand access's
+    nine indices are hashed up front from its PC, address and 8-PC
+    global history.  A sampled set's sampler is an LRU-ordered dict
+    from sampler tag to the stored access's index row — the reference
+    trains from the stored (pc, history, address), whose indices are a
+    pure function of exactly those.
+
+    Event order per demand access matches the reference hooks:
+    sampler training (``on_access``), then hit promotion, or else the
+    bypass test (only when the set is full), RRIP victim and graded
+    insertion — all from one prediction made after the training.
+    Writebacks skip the sampler, the history and every prediction.
+
+    Chunk-feedable: the last 8 demand PCs carry across :meth:`feed`
+    calls, so feeding in pieces is bit-identical to one shot.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        table_bits: int,
+        theta: int,
+        max_rrpv: int,
+        num_sampler_sets: int,
+        sampler_assoc: int,
+        bypass_threshold: int,
+        dead_threshold: int,
+    ) -> None:
+        num_sets, assoc = config.num_sets, config.associativity
+        self.config = config
+        self.table_bits = table_bits
+        self.theta = theta
+        self.max_rrpv = max_rrpv
+        self.sampler_assoc = sampler_assoc
+        self.bypass_threshold = bypass_threshold
+        self.dead_threshold = dead_threshold
+        self.weights = [0] * (len(_MPPPB_SALTS) << table_bits)
+        # Sampler index per set (-1 = not sampled), as MPPPBPolicy.attach.
+        count = min(num_sampler_sets, num_sets)
+        stride = max(1, num_sets // count)
+        sampled = [-1] * num_sets
+        for i in range(count):
+            sampled[i * stride] = i
+        self.sampled = sampled
+        self.sampler: list[OrderedDict] = [OrderedDict() for _ in range(count)]
+        self.history = np.zeros(_MPPPB_HISTORY, dtype=np.uint64)
+        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
+        self.fill_count = [0] * num_sets
+        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
+        self.bypasses = 0
+        self.pch: dict[int, int] = {}
+        self.pcm: dict[int, int] = {}
+
+    def feed(self, stream, record=None) -> None:
+        _mpppb_feed(self, stream, record)
+
+    def finish(self) -> CacheStats:
+        stats = _finish_stats(
+            self.config.name,
+            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
+            self.pch, self.pcm,
+        )
+        stats.bypasses = self.bypasses
+        return stats
+
+
+def _mpppb_feed(kernel, stream, record) -> None:
+    sets, tags, kinds, cores = _decode_stream(stream, kernel.config)
+    config = kernel.config
+    assoc = config.associativity
+    demand = stream.kinds != _KIND_WRITEBACK
+    pcs = stream.pcs[demand].astype(np.uint64)
+    feats = _mpppb_features(
+        pcs,
+        stream.addresses[demand].astype(np.uint64),
+        kernel.history,
+        kernel.table_bits,
+    )
+    if len(pcs):
+        kernel.history = np.concatenate([kernel.history, pcs])[-_MPPPB_HISTORY:]
+    weights = kernel.weights
+    theta = kernel.theta
+    max_rrpv = kernel.max_rrpv
+    keep_rrpv = max_rrpv - 1
+    mid_rrpv = max_rrpv // 2
+    bypass_threshold = kernel.bypass_threshold
+    dead_threshold = kernel.dead_threshold
+    half_dead = dead_threshold // 2
+    sampled = kernel.sampled
+    sampler = kernel.sampler
+    sampler_assoc = kernel.sampler_assoc
+    tag_t = kernel.tag_t
+    dirty_t = kernel.dirty_t
+    rrpv_t = kernel.rrpv_t
+    fill_count = kernel.fill_count
+    dh, dm, wh, wm, ev, dev = (
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev
+    )
+    bypasses = kernel.bypasses
+    pch = kernel.pch
+    pcm = kernel.pcm
+
+    def train(row, dead: bool) -> None:
+        # MultiperspectivePredictor.train on a stored index row.
+        a, b, c, d, e, f, g, h, k, _ = row
+        total = (
+            weights[a] + weights[b] + weights[c] + weights[d] + weights[e]
+            + weights[f] + weights[g] + weights[h] + weights[k]
+        )
+        if (total > 0) != dead or -theta < total < theta:
+            delta = 1 if dead else -1
+            for x in (a, b, c, d, e, f, g, h, k):
+                v = weights[x] + delta
+                weights[x] = 127 if v > 127 else (-128 if v < -128 else v)
+
+    block: list = []
+    bpos = 0
+    j = 0  # demand rows consumed in this chunk
+    for i in range(len(sets)):
+        s = sets[i]
+        t = tags[i]
+        kn = kinds[i]
+        row = tag_t[s]
+        if kn != _KIND_WRITEBACK:
+            if bpos == len(block):
+                block = feats[j : j + _MPPPB_BLOCK].tolist()
+                bpos = 0
+            feat = block[bpos]
+            bpos += 1
+            j += 1
+            si = sampled[s]
+            if si >= 0:
+                smp = sampler[si]
+                ln = feat[9]
+                old = smp.get(ln)
+                if old is not None:
+                    train(old, False)
+                    smp.move_to_end(ln)
+                elif len(smp) >= sampler_assoc:
+                    train(smp.popitem(last=False)[1], True)
+                smp[ln] = feat
+            a, b, c, d, e, f, g, h, k, _ = feat
+            yout = (
+                weights[a] + weights[b] + weights[c] + weights[d] + weights[e]
+                + weights[f] + weights[g] + weights[h] + weights[k]
+            )
+            if t in row:
+                w = row.index(t)
+                if kn != _KIND_LOAD:
+                    dirty_t[s][w] = True
+                if yout <= 0:
+                    rrpv_t[s][w] = 0
+                elif yout < dead_threshold:
+                    if rrpv_t[s][w] > keep_rrpv:
+                        rrpv_t[s][w] = keep_rrpv
+                else:
+                    rrpv_t[s][w] = max_rrpv
+                dh += 1
+                core = cores[i]
+                pch[core] = pch.get(core, 0) + 1
+                if record is not None:
+                    record.append((1, 0, w, -1, 0))
+                continue
+            dm += 1
+            core = cores[i]
+            pcm[core] = pcm.get(core, 0) + 1
+        else:
+            if t in row:
+                w = row.index(t)
+                dirty_t[s][w] = True
+                wh += 1
+                if record is not None:
+                    record.append((1, 0, w, -1, 0))
+                continue
+            wm += 1
+        ev_tag, ev_dirty = -1, False
+        if fill_count[s] < assoc:
+            w = row.index(-1)
+            fill_count[s] += 1
+        else:
+            if kn != _KIND_WRITEBACK and yout > bypass_threshold:
+                bypasses += 1
+                if record is not None:
+                    record.append((0, 1, -1, -1, 0))
+                continue
+            rr = rrpv_t[s]
+            while True:
+                for w in range(assoc):
+                    if rr[w] >= max_rrpv:
+                        break
+                else:
+                    for x in range(assoc):
+                        rr[x] += 1
+                    continue
+                break
+            ev_tag, ev_dirty = row[w], dirty_t[s][w]
+            ev += 1
+            if ev_dirty:
+                dev += 1
+        row[w] = t
+        dirty_t[s][w] = kn != _KIND_LOAD
+        if kn == _KIND_WRITEBACK or yout > dead_threshold:
+            rrpv_t[s][w] = max_rrpv
+        elif yout > half_dead:
+            rrpv_t[s][w] = keep_rrpv
+        elif yout > 0:
+            rrpv_t[s][w] = mid_rrpv
+        else:
+            rrpv_t[s][w] = 0
+        if record is not None:
+            record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    kernel.bypasses = bypasses
+    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+        dh, dm, wh, wm, ev, dev
+    )
+
+
+def _replay_mpppb(
+    stream,
+    config: CacheConfig,
+    table_bits: int,
+    theta: int,
+    max_rrpv: int,
+    num_sampler_sets: int,
+    sampler_assoc: int,
+    bypass_threshold: int,
+    dead_threshold: int,
+    record,
+) -> CacheStats:
+    kernel = _MPPPBKernel(
+        config, table_bits, theta, max_rrpv, num_sampler_sets, sampler_assoc,
+        bypass_threshold, dead_threshold,
+    )
+    kernel.feed(stream, record)
+    return kernel.finish()
+
+
+# -- Belady MIN ---------------------------------------------------------------
+
+
+class _BeladyKernel:
+    """Belady-MIN fast kernel over a precomputed next-use array.
+
+    Per-set tag/dirty/next-use lists.  A miss bypasses when the incoming
+    line is never used again, or when its next use is no sooner than
+    that of every resident line; otherwise the first way holding the
+    furthest next use is the victim.  Every hit — writebacks included —
+    refreshes the line's next use, as ``BeladyPolicy.on_hit`` does.
+
+    ``next_use[i]`` belongs to the i-th access of the whole stream; a
+    cursor carries across :meth:`feed` calls.  A chunk reaching past
+    the end of ``next_use`` raises ``IndexError`` before any state
+    changes (the reference raises at the first such access).
+    """
+
+    def __init__(self, config: CacheConfig, next_use: np.ndarray) -> None:
+        num_sets, assoc = config.num_sets, config.associativity
+        self.config = config
+        self.next_use = next_use
+        self.cursor = 0
+        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        self.next_t = [[0] * assoc for _ in range(num_sets)]
+        self.fill_count = [0] * num_sets
+        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
+        self.bypasses = 0
+        self.pch: dict[int, int] = {}
+        self.pcm: dict[int, int] = {}
+
+    def feed(self, stream, record=None) -> None:
+        _belady_feed(self, stream, record)
+
+    def finish(self) -> CacheStats:
+        stats = _finish_stats(
+            self.config.name,
+            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
+            self.pch, self.pcm,
+        )
+        stats.bypasses = self.bypasses
+        return stats
+
+
+def _belady_feed(kernel, stream, record) -> None:
+    start = kernel.cursor
+    stop = start + len(stream.addresses)
+    if stop > len(kernel.next_use):
+        raise IndexError(
+            "access_index beyond the pre-recorded stream; BeladyPolicy "
+            "must be replayed on exactly the stream it was built from"
+        )
+    sets, tags, kinds, cores = _decode_stream(stream, kernel.config)
+    nexts = kernel.next_use[start:stop].tolist()
+    assoc = kernel.config.associativity
+    tag_t = kernel.tag_t
+    dirty_t = kernel.dirty_t
+    next_t = kernel.next_t
+    fill_count = kernel.fill_count
+    dh, dm, wh, wm, ev, dev = (
+        kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev
+    )
+    bypasses = kernel.bypasses
+    pch = kernel.pch
+    pcm = kernel.pcm
+    for i in range(len(sets)):
+        s = sets[i]
+        t = tags[i]
+        k = kinds[i]
+        nu = nexts[i]
+        row = tag_t[s]
+        if t in row:
+            w = row.index(t)
+            next_t[s][w] = nu
+            if k != _KIND_LOAD:
+                dirty_t[s][w] = True
+            if k != _KIND_WRITEBACK:
+                dh += 1
+                c = cores[i]
+                pch[c] = pch.get(c, 0) + 1
+            else:
+                wh += 1
+            if record is not None:
+                record.append((1, 0, w, -1, 0))
+            continue
+        if k != _KIND_WRITEBACK:
+            dm += 1
+            c = cores[i]
+            pcm[c] = pcm.get(c, 0) + 1
+        else:
+            wm += 1
+        ev_tag, ev_dirty = -1, False
+        if nu == _NEVER:
+            w = -1
+        elif fill_count[s] < assoc:
+            w = row.index(-1)
+            fill_count[s] += 1
+        else:
+            nr = next_t[s]
+            far = max(nr)
+            if far <= nu:
+                w = -1
+            else:
+                w = nr.index(far)
+                ev_tag, ev_dirty = row[w], dirty_t[s][w]
+                ev += 1
+                if ev_dirty:
+                    dev += 1
+        if w < 0:
+            bypasses += 1
+            if record is not None:
+                record.append((0, 1, -1, -1, 0))
+            continue
+        row[w] = t
+        dirty_t[s][w] = k != _KIND_LOAD
+        next_t[s][w] = nu
+        if record is not None:
+            record.append((0, 0, w, ev_tag, int(ev_dirty)))
+    kernel.cursor = stop
+    kernel.bypasses = bypasses
+    kernel.dh, kernel.dm, kernel.wh, kernel.wm, kernel.ev, kernel.dev = (
+        dh, dm, wh, wm, ev, dev
+    )
+
+
+def _replay_belady(stream, config: CacheConfig, next_use, record) -> CacheStats:
+    kernel = _BeladyKernel(config, next_use)
     kernel.feed(stream, record)
     return kernel.finish()

@@ -20,7 +20,9 @@ This module provides:
   callers never need to know which policies are accelerated.
 * **A parity harness** — both engines can record a per-access event
   stream ``(hit, bypassed, way, evicted_tag, evicted_dirty)``;
-  :func:`verify_parity` asserts access-by-access equivalence plus equal
+  :func:`verify_parity` (and :func:`verify_min_parity` for Belady-MIN,
+  which is an instance, not a registry name) asserts access-by-access
+  equivalence plus equal
   :class:`~repro.cache.stats.CacheStats`, and names the first divergent
   access when they differ.
 * **A fast stream filter** — :func:`fast_filter_to_llc_stream`, a
@@ -49,14 +51,18 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .config import CacheConfig, HierarchyConfig, scaled_hierarchy
 from .fastpolicies import (
+    _BeladyKernel,
     _decode_stream,
     _DRRIPKernel,
     _finish_stats,
     _GliderKernel,
     _HawkeyeKernel,
+    _MPPPBKernel,
+    _replay_belady,
     _replay_drrip,
     _replay_glider,
     _replay_hawkeye,
+    _replay_mpppb,
     _replay_ship,
     _ShipKernel,
 )
@@ -73,12 +79,15 @@ __all__ = [
     "make_stream_kernel",
     "replay",
     "reference_replay",
+    "verify_min_parity",
     "verify_parity",
 ]
 
 #: Registry names with a fast-path kernel (with their default parameters).
-#: The learned family (drrip/ship/ship++/hawkeye/glider) is implemented
-#: in :mod:`repro.cache.fastpolicies`; the stateless kernels live here.
+#: The learned family (drrip/ship/ship++/hawkeye/glider/mpppb) is
+#: implemented in :mod:`repro.cache.fastpolicies`; the stateless kernels
+#: live here.  (Belady-MIN also has a kernel, but it is no registry
+#: policy: it dispatches by instance, see :func:`fast_path_kernel`.)
 FAST_PATH_POLICIES = (
     "lru",
     "mru",
@@ -90,12 +99,12 @@ FAST_PATH_POLICIES = (
     "ship++",
     "hawkeye",
     "glider",
+    "mpppb",
 )
 
-#: Registry names that deliberately have *no* fast-path kernel: policies
-#: whose victim choice depends on hook-level state the flat kernels do
-#: not model (dead-block/perceptron samplers with their own bookkeeping,
-#: and the per-set reuse-distance heads of the frd family).
+#: Registry names that have *no* fast-path kernel yet: the SDBP and
+#: perceptron samplers (not ported), and the per-set reuse-distance
+#: heads of the frd family (whose victim rule is still under audit).
 #: Every registered policy must appear in exactly one of
 #: FAST_PATH_POLICIES or this tuple — enforced by the conformance
 #: registry-drift guard — so a newly registered policy cannot silently
@@ -103,7 +112,6 @@ FAST_PATH_POLICIES = (
 REFERENCE_ONLY_POLICIES = (
     "sdbp",
     "perceptron",
-    "mpppb",
     "frd",
     "mustache",
     "deap",
@@ -156,13 +164,19 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
     subclass with overridden hooks is never silently fast-pathed; a
     stochastic policy instance is assumed fresh (un-drawn RNG), which is
     how every experiment constructs them.  The learned policies (DRRIP,
-    SHiP, SHiP++, Hawkeye, Glider) fast-path by *registry name only*:
-    their instances accumulate trained state (PSEL/SHCT/predictor
-    tables/ISVM weights) that callers inspect after a simulation — e.g.
-    the accuracy eval reads ``policy.predictor`` — and a kernel replay
-    would leave the object untouched.  Pass the name when only the
-    stats matter; pass an instance to get a trained object back.
+    SHiP, SHiP++, Hawkeye, Glider, MPPPB) fast-path by *registry name
+    only*: their instances accumulate trained state (PSEL/SHCT/predictor
+    tables/ISVM weights/perceptron weights) that callers inspect after a
+    simulation — e.g. the accuracy eval reads ``policy.predictor`` — and
+    a kernel replay would leave the object untouched.  Pass the name
+    when only the stats matter; pass an instance to get a trained object
+    back.  Belady-MIN is the exception: it has no registry name and no
+    trained state to inspect (its only state is the next-use array the
+    kernel reads), so an exact
+    :class:`~repro.policies.belady_policy.BeladyPolicy` *instance*
+    dispatches to the ``belady`` kernel.
     """
+    from ..policies.belady_policy import BeladyPolicy
     from ..policies.lru import LRUPolicy, MRUPolicy
     from ..policies.random_policy import RandomPolicy
     from ..policies.rrip import BRRIPPolicy, SRRIPPolicy
@@ -229,6 +243,18 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
                     "confidence_insertion": True,
                 },
             ),
+            "mpppb": (
+                "mpppb",
+                {
+                    "table_bits": 12,
+                    "theta": 68,
+                    "max_rrpv": 7,
+                    "num_sampler_sets": 64,
+                    "sampler_assoc": 16,
+                    "bypass_threshold": 50,
+                    "dead_threshold": 10,
+                },
+            ),
         }
         return defaults.get(policy)
     kind = type(policy)
@@ -246,6 +272,8 @@ def fast_path_kernel(policy) -> tuple[str, dict] | None:
         }
     if kind is SRRIPPolicy:
         return "rrip", {"max_rrpv": policy.max_rrpv, "long_prob": None, "seed": 0}
+    if kind is BeladyPolicy:
+        return "belady", {"next_use": policy._next_use}
     return None
 
 
@@ -610,6 +638,12 @@ _KERNELS = {
     "glider": lambda stream, cfg, record, **kw: _replay_glider(
         stream, cfg, record=record, **kw
     ),
+    "mpppb": lambda stream, cfg, record, **kw: _replay_mpppb(
+        stream, cfg, record=record, **kw
+    ),
+    "belady": lambda stream, cfg, record, **kw: _replay_belady(
+        stream, cfg, record=record, **kw
+    ),
 }
 
 # Kernel-kind -> chunk-feedable class (same params as fast_path_kernel).
@@ -622,6 +656,8 @@ _STREAM_KERNELS = {
     "ship": _ShipKernel,
     "hawkeye": _HawkeyeKernel,
     "glider": _GliderKernel,
+    "mpppb": _MPPPBKernel,
+    "belady": _BeladyKernel,
 }
 
 
@@ -856,19 +892,22 @@ def _replay(
         return reference_replay(stream, policy, llc, record=record)
 
 
-def _set_state_before(stream, policy_name: str, config, index: int) -> tuple[int, list]:
+def _set_state_before(stream, policy, config, index: int) -> tuple[int, list]:
     """Reference-engine snapshot of the divergent set just before ``index``.
 
-    Returns ``(set_index, per_way_state)`` where each way is a dict of
-    ``{way, tag, dirty, last_touch}`` (invalid ways report ``tag=None``).
-    Cost is one partial replay — negligible for the shrunk repros this
-    diagnostic exists for.
+    ``policy`` is a registry name or a fresh instance.  Returns
+    ``(set_index, per_way_state)`` where each way is a dict of
+    ``{way, tag, dirty, last_touch}`` (invalid ways report
+    ``tag=None``).  Cost is one partial replay — negligible for the
+    shrunk repros this diagnostic exists for.
     """
     from ..policies.registry import make_policy
     from .cache import SetAssociativeCache
 
+    if isinstance(policy, str):
+        policy = make_policy(policy)
     llc_config = _llc_config(config)
-    llc = SetAssociativeCache(llc_config, make_policy(policy_name))
+    llc = SetAssociativeCache(llc_config, policy)
     for i, request in enumerate(stream.requests()):
         if i >= index:
             set_index = llc.set_index(request.address)
@@ -924,14 +963,40 @@ def verify_parity(stream, policy_name: str, config=None) -> tuple[CacheStats, Ca
     first divergent access — including the victim-way/tag delta and the
     reference engine's snapshot of the divergent set — otherwise.
     """
+    return _compare_engines(stream, policy_name, lambda: policy_name, config)
+
+
+def verify_min_parity(stream, config=None) -> tuple[CacheStats, CacheStats]:
+    """:func:`verify_parity` for Belady-MIN over ``stream``.
+
+    MIN is no registry policy — it is a
+    :class:`~repro.policies.belady_policy.BeladyPolicy` built from the
+    stream itself — so each engine gets a fresh instance.  Same return
+    value and same :class:`EngineParityError` as :func:`verify_parity`.
+    """
+    from ..policies.belady_policy import BeladyPolicy
+
+    def fresh():
+        return BeladyPolicy.from_stream(stream)
+
+    return _compare_engines(stream, "belady", fresh, config)
+
+
+def _compare_engines(
+    stream, policy_name: str, fresh, config
+) -> tuple[CacheStats, CacheStats]:
+    """Replay ``fresh()`` (a registry name or a new instance per call) on
+    the reference and auto engines; compare events, then stats."""
     ref_events: list = []
     fast_events: list = []
-    ref_stats = replay(stream, policy_name, config, engine="reference", record=ref_events)
-    fast_stats = replay(stream, policy_name, config, engine="auto", record=fast_events)
+    ref_stats = replay(stream, fresh(), config, engine="reference", record=ref_events)
+    fast_stats = replay(stream, fresh(), config, engine="auto", record=fast_events)
     if ref_events != fast_events:
         for i, (r, f) in enumerate(zip(ref_events, fast_events)):
             if r != f:
-                set_index, set_state = _set_state_before(stream, policy_name, config, i)
+                set_index, set_state = _set_state_before(
+                    stream, fresh(), config, i
+                )
                 raise EngineParityError(
                     _describe_divergence(policy_name, i, set_index, r, f, set_state),
                     policy=policy_name,

@@ -260,10 +260,13 @@ def simulate_llc(
 ) -> CacheStats:
     """Phase 2: replay a recorded LLC stream against one policy.
 
-    Dispatches through :func:`repro.cache.fastsim.replay`: stateless
-    policies (LRU/MRU/random/SRRIP/BRRIP) take an array-backed fast
-    path, everything else runs the reference engine.  Both engines are
-    access-by-access equivalent (see the fastsim parity suite).
+    Dispatches through :func:`repro.cache.fastsim.replay`: every
+    registry name in ``FAST_PATH_POLICIES`` (the stateless policies and
+    the learned DRRIP/SHiP/SHiP++/Hawkeye/Glider/MPPPB) and a
+    ``BeladyPolicy`` instance take an array-backed fast kernel; the
+    names in ``REFERENCE_ONLY_POLICIES`` and every other instance run
+    the reference engine.  Both engines are access-by-access equivalent
+    (see the fastsim parity suite).
     """
     from .fastsim import replay
 

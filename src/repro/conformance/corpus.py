@@ -28,7 +28,7 @@ from ..cache.config import CacheConfig
 from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, verify_parity
 from ..cache.hierarchy import LLCStream
 from ..robust.store import ArtifactStore
-from .differential import cross_validate_optgen
+from .differential import check_min_kernel, cross_validate_optgen
 from .generators import CaseSpec
 from .invariants import InvariantViolation, checked_replay
 
@@ -185,6 +185,11 @@ def replay_entry(entry: CorpusEntry, invariant_every: int = 64) -> list[str]:
                 )
             except InvariantViolation as violation:
                 problems.append(f"{entry.name}/{policy}: invariant: {violation}")
+    if entry.length:
+        problems.extend(
+            f"{entry.name}: {problem}"
+            for problem in check_min_kernel(entry.stream, entry.config)
+        )
     lines = entry.stream.to_trace().lines()
     if len(lines):
         for problem in cross_validate_optgen(
@@ -195,16 +200,16 @@ def replay_entry(entry: CorpusEntry, invariant_every: int = 64) -> list[str]:
 
 
 #: One reference-only policy per sentinel so the corpus also pins the
-#: policies without fast kernels, without replaying all 13 on every
-#: entry.  (Hawkeye/Glider/SHiP++/DRRIP used to sit here; they are
-#: fast-path now and every sentinel parity-checks them already.)
+#: policies without fast kernels, without replaying all 16 on every
+#: entry.  (Hawkeye/Glider/SHiP++/DRRIP/MPPPB used to sit here; they
+#: are fast-path now and every sentinel parity-checks them already.)
 _SENTINEL_REFERENCE_POLICY = {
     "pointer-chase": "sdbp",
     "scan": "perceptron",
-    "zipf": "mpppb",
+    "zipf": "frd",
     "set-camp": "sdbp",
     "thrash": "perceptron",
-    "mix": "mpppb",
+    "mix": "deap",
 }
 
 
@@ -243,9 +248,10 @@ def seed_corpus(corpus_dir: str | Path | None = None, length: int = 400) -> list
 #: decision machinery (duelling sets for DRRIP, signature reuse skew
 #: for SHiP, scan-resistance for SHiP++/Hawkeye/Glider, reuse-distance
 #: regression for frd, periodic gaps for mustache, dead-on-admission
-#: bypass for deap).  Fast-path names come first so their seed-scan
-#: indices — and therefore the checked-in sentinel bytes — are stable
-#: as reference-only names are appended.
+#: bypass for deap, one-shot tail lines for mpppb's bypass and graded
+#: insertion).  A policy's seed scan starts at its position here, so
+#: new names go at the end: the checked-in sentinel bytes of the
+#: others then stay stable.
 _POLICY_SENTINEL_FAMILY = {
     "drrip": "set-camp",
     "ship": "zipf",
@@ -255,6 +261,7 @@ _POLICY_SENTINEL_FAMILY = {
     "frd": "zipf",
     "mustache": "scan",
     "deap": "thrash",
+    "mpppb": "zipf",
 }
 
 
@@ -271,22 +278,19 @@ def seed_policy_sentinels(
     every one of them: fast-path policies through ``verify_parity``,
     access-by-access, on both engines; reference-only policies (the frd
     family among them) through the invariant-checked reference replay.
+    Every entry also replays Belady-MIN on both engines.
 
     Deterministic and idempotent like :func:`seed_corpus`: fixed specs,
     a pure predicate, and ddmin's deterministic schedule always produce
     the same minimized bytes and store keys.
     """
-    from ..cache.fastsim import REFERENCE_ONLY_POLICIES, replay
+    from ..cache.fastsim import replay
     from .generators import generate_stream, spec_config
     from .shrink import shrink_stream
 
     corpus_dir = Path(corpus_dir or default_corpus_dir())
     paths = []
-    sentinel_policies = [
-        p for p in FAST_PATH_POLICIES if p in _POLICY_SENTINEL_FAMILY
-    ] + [p for p in REFERENCE_ONLY_POLICIES if p in _POLICY_SENTINEL_FAMILY]
-    for i, policy in enumerate(sentinel_policies):
-        family = _POLICY_SENTINEL_FAMILY[policy]
+    for i, (policy, family) in enumerate(_POLICY_SENTINEL_FAMILY.items()):
 
         def distinguishes(sub, policy=policy):
             if len(sub) == 0:

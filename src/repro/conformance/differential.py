@@ -14,6 +14,10 @@ is pushed through every check relevant to each registry policy:
   exceed brute-force Belady MIN's on the same line sequence (MIN with
   bypass is optimal per set, so any policy exceeding it proves a
   simulator bug, not a clever policy);
+* **MIN kernel** — the Belady-MIN fast kernel must match the reference
+  engine's ``BeladyPolicy`` access-by-access, and its total hit count
+  must equal brute-force :func:`~repro.optgen.belady.simulate_belady`'s,
+  an implementation that shares no replay code with either engine;
 * **OPTgen cross-validation** — unbounded OPTgen must *equal* MIN's
   hit count exactly, the hardware-windowed variant must never exceed
   the unbounded one, and the occupancy vector must satisfy its
@@ -34,6 +38,7 @@ from ..cache.fastsim import (
     FAST_PATH_POLICIES,
     REFERENCE_ONLY_POLICIES,
     EngineParityError,
+    verify_min_parity,
     verify_parity,
 )
 from ..optgen.belady import simulate_belady
@@ -44,6 +49,7 @@ from .invariants import InvariantViolation, check_optgen_vector, checked_replay
 __all__ = [
     "CaseResult",
     "Divergence",
+    "check_min_kernel",
     "cross_validate_optgen",
     "default_policies",
     "run_case",
@@ -57,7 +63,7 @@ OPTGEN_WINDOW_FACTOR = 8
 class Divergence:
     """One conformance failure, with everything needed to reproduce it."""
 
-    kind: str  # engine-parity | invariant | belady-bound | optgen-*
+    kind: str  # engine-parity | invariant | belady-bound | min-* | optgen-*
     policy: str | None
     spec: dict
     message: str
@@ -141,10 +147,28 @@ def cross_validate_optgen(
     return problems
 
 
-def _belady_bound(stream, spec: CaseSpec, total_hits: int) -> int:
+def check_min_kernel(stream, config) -> list[str]:
+    """Belady-MIN kernel vs the reference engine and the brute-force
+    oracle; returns failure messages, each prefixed by its kind
+    (``min-parity`` or ``min-oracle``)."""
+    try:
+        _, fast = verify_min_parity(stream, config)
+    except EngineParityError as error:
+        return [f"min-parity: {error}"]
+    oracle = _belady_bound(stream, config.num_sets, config.associativity)
+    if fast.hits != oracle:
+        return [
+            f"min-oracle: the MIN kernel counts {fast.hits} hits but "
+            f"brute-force Belady MIN counts {oracle} on {len(stream)} "
+            f"accesses ({config.num_sets}x{config.associativity})"
+        ]
+    return []
+
+
+def _belady_bound(stream, num_sets: int, associativity: int) -> int:
     """MIN's hit count over the full access sequence (demand + writeback)."""
     lines = (stream.addresses // np.uint64(stream.line_size)).astype(np.int64)
-    return simulate_belady(lines, spec.num_sets, spec.associativity).num_hits
+    return simulate_belady(lines, num_sets, associativity).num_hits
 
 
 def run_case(
@@ -195,7 +219,7 @@ def run_case(
                 continue
         result.checks += 1
         if belady_hits is None:
-            belady_hits = _belady_bound(stream, spec, 0)
+            belady_hits = _belady_bound(stream, spec.num_sets, spec.associativity)
         total_hits = stats.demand_hits + stats.writeback_hits
         if total_hits > belady_hits:
             result.divergences.append(
@@ -210,6 +234,17 @@ def run_case(
                     ),
                 )
             )
+
+    result.checks += 1
+    for problem in check_min_kernel(stream, config):
+        result.divergences.append(
+            Divergence(
+                kind=problem.split(":", 1)[0],
+                policy=None,
+                spec=spec.to_dict(),
+                message=problem,
+            )
+        )
 
     result.checks += 1
     demand_lines = stream.to_trace().lines()

@@ -26,7 +26,7 @@ import numpy as np
 from ..cache.config import CacheConfig
 from ..cache.fastsim import EngineParityError, verify_parity
 from ..cache.hierarchy import LLCStream
-from .differential import cross_validate_optgen
+from .differential import check_min_kernel, cross_validate_optgen
 from .invariants import InvariantViolation, checked_replay
 
 __all__ = ["ShrinkResult", "failure_predicate", "shrink_stream", "take"]
@@ -158,6 +158,14 @@ def failure_predicate(
             )
 
         return optgen_fails
+    if kind in ("min-parity", "min-oracle"):
+
+        def min_fails(sub: LLCStream) -> bool:
+            return any(
+                problem.startswith(kind) for problem in check_min_kernel(sub, config)
+            )
+
+        return min_fails
     if kind == "belady-bound":
         if policy is None:
             raise ValueError("belady-bound predicate needs a policy name")

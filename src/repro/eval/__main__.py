@@ -22,8 +22,8 @@ once).  ``--task-timeout`` puts a wall-clock deadline on each task,
 ``--max-pool-restarts`` bounds pool recycling after worker crashes, and
 ``--no-degrade`` turns the sequential fallback into a hard error; a
 crash journal (JSONL) lands next to the resume manifest.  The
-``bench`` subcommand times the filter/replay/matrix stages on both
-simulation engines and writes ``BENCH_sim.json`` (``--quick`` for the
+``bench`` subcommand times the filter/replay (every fast-path policy
+plus Belady-MIN)/matrix stages on both simulation engines and writes ``BENCH_sim.json`` (``--quick`` for the
 CI smoke variant, ``--out`` to choose the path).
 
 Observability: ``--metrics-out PATH`` writes a schema-tagged metrics
@@ -402,8 +402,12 @@ def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, rep
         )
         emit(f"bench report -> {args.out}")
         emit(f"filter speedup: {report['filter']['speedup']:.1f}x")
-        for policy, entry in report["replay"].items():
-            emit(f"replay {policy}: {entry['speedup']:.1f}x")
+        for policy, entry in [*report["replay"].items(), ("min", report["min"])]:
+            emit(
+                f"replay {policy}: {entry['speedup']:.1f}x "
+                f"({entry['reference_accesses_per_s']:,.0f} -> "
+                f"{entry['fast_accesses_per_s']:,.0f} accesses/s)"
+            )
         emit(
             f"matrix jobs={report['matrix']['jobs']}: "
             f"{report['matrix']['speedup']:.2f}x vs sequential"

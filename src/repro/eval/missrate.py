@@ -67,8 +67,9 @@ def _missrate_benchmark(
     hierarchy = config.hierarchy()
     stream = cache.llc_stream(benchmark)
     # Policies go in by registry *name*: name dispatch is what unlocks
-    # the learned-policy fast kernels (instances always take the
-    # reference engine so trained state stays inspectable).  Unknown
+    # the learned-policy fast kernels (their instances take the
+    # reference engine so trained state stays inspectable; MIN, which
+    # has no trained state, takes its kernel as an instance).  Unknown
     # names still raise UnknownPolicyError from the reference resolver.
     lru_stats = simulate_llc(stream, "lru", hierarchy)
     rates: dict[str, float] = {}

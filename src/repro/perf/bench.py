@@ -6,9 +6,10 @@ the speedup claims in EXPERIMENTS.md stay tied to measurements:
 
 * **filter** — trace -> LLC stream, reference object hierarchy vs the
   vectorized :func:`~repro.cache.fastsim.fast_filter_to_llc_stream`;
-* **replay** — LLC stream -> stats for every fast-path policy,
-  reference vs array kernel (results asserted equal before timing is
-  trusted);
+* **replay** — LLC stream -> stats for every fast-path policy, and
+  for Belady-MIN (``min``), reference vs array kernel (results asserted
+  equal before timing is trusted), with the absolute accesses/s of each
+  engine;
 * **insight** — decision-telemetry overhead for the learned policies:
   the disabled recorder hook vs a live sampled recorder (CI gates the
   disabled path at <= 2% of replay throughput);
@@ -35,6 +36,7 @@ from ..cache.fastsim import FAST_PATH_POLICIES, reference_replay, replay
 from ..cache.hierarchy import filter_to_llc_stream
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..policies.belady_policy import BeladyPolicy
 from ..traces.io import atomic_write_text
 from .parallel import parallel_map, run_matrix
 
@@ -172,22 +174,30 @@ def run_bench(
     }
     stream = fast_stream
 
-    # -- stage 2: LLC replay per fast-path policy ----------------------------
-    report["replay"] = {}
-    for policy in FAST_PATH_POLICIES:
+    # -- stage 2: LLC replay per fast-path policy, and Belady-MIN ------------
+    def time_engines(label, policy) -> dict:
         ref_s, ref_stats = _best_of(
-            lambda p=policy: reference_replay(stream, p, hierarchy), repeats
+            lambda: reference_replay(stream, policy, hierarchy), repeats
         )
         fast_s, fast_stats = _best_of(
-            lambda p=policy: replay(stream, p, hierarchy, engine="fast"), repeats
+            lambda: replay(stream, policy, hierarchy, engine="fast"), repeats
         )
         if _counters(ref_stats) != _counters(fast_stats):
-            raise AssertionError(f"engine mismatch for {policy!r} (bench aborted)")
-        report["replay"][policy] = {
+            raise AssertionError(f"engine mismatch for {label!r} (bench aborted)")
+        return {
             "reference_s": ref_s,
             "fast_s": fast_s,
             "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
+            "reference_accesses_per_s": len(stream) / ref_s,
+            "fast_accesses_per_s": len(stream) / fast_s,
         }
+
+    report["replay"] = {
+        policy: time_engines(policy, policy) for policy in FAST_PATH_POLICIES
+    }
+    # MIN is an instance, not a registry name; it holds no trained state,
+    # so both engines can share one.
+    report["min"] = time_engines("min", BeladyPolicy.from_stream(stream))
 
     # -- stage 3: decision-telemetry overhead (repro.obs.insight) ------------
     # Three timings per learned policy: a baseline fast replay and the
@@ -327,8 +337,14 @@ def bench_to_metrics_snapshot(report: dict) -> dict:
             registry.gauge(f"bench.filter.{field}").set(fil[field])
     if "stream_length" in fil:
         registry.gauge("bench.filter.stream_length").set(fil["stream_length"])
-    for policy, entry in report.get("replay", {}).items():
-        for field in ("reference_s", "fast_s", "speedup"):
+    replays = dict(report.get("replay", {}))
+    if "min" in report:
+        replays["min"] = report["min"]
+    for policy, entry in replays.items():
+        for field in (
+            "reference_s", "fast_s", "speedup",
+            "reference_accesses_per_s", "fast_accesses_per_s",
+        ):
             if field in entry:
                 registry.gauge(f"bench.replay.{field}", policy=policy).set(
                     entry[field]
@@ -365,13 +381,13 @@ def validate_bench(report: dict) -> list[str]:
     """Structural check of a BENCH_sim.json report; returns problems found.
 
     Used by the CI perf-smoke job: an empty list means the report is
-    well-formed (schema, all three stages, positive timings, replay
-    entries for every fast-path policy).
+    well-formed (schema, all stages, positive timings, replay entries
+    for every fast-path policy and for Belady-MIN).
     """
     problems: list[str] = []
     if report.get("schema") != BENCH_SCHEMA:
         problems.append(f"schema != {BENCH_SCHEMA}")
-    for stage in ("filter", "replay", "insight", "matrix"):
+    for stage in ("filter", "replay", "min", "insight", "matrix"):
         if stage not in report:
             problems.append(f"missing stage {stage!r}")
     for policy, entry in report.get("insight", {}).items():
@@ -387,6 +403,11 @@ def validate_bench(report: dict) -> list[str]:
             problems.append(f"no replay timing for {policy!r}")
         elif not (entry.get("reference_s", 0) > 0 and entry.get("fast_s", 0) > 0):
             problems.append(f"non-positive replay timing for {policy!r}")
+    entry = report.get("min")
+    if entry is not None and not (
+        entry.get("reference_s", 0) > 0 and entry.get("fast_s", 0) > 0
+    ):
+        problems.append("non-positive replay timing for 'min'")
     fil = report.get("filter", {})
     if fil and not (fil.get("reference_s", 0) > 0 and fil.get("fast_s", 0) > 0):
         problems.append("non-positive filter timing")

@@ -83,7 +83,7 @@ def test_learned_policies_stay_fast_pathed():
     kernels — demoting one to REFERENCE_ONLY_POLICIES is a deliberate
     (and benchmark-visible) decision, not a refactor side effect."""
     demoted = sorted(
-        {"drrip", "ship", "ship++", "hawkeye", "glider"}
+        {"drrip", "ship", "ship++", "hawkeye", "glider", "mpppb"}
         - set(FAST_PATH_POLICIES)
     )
     assert not demoted, (

@@ -33,6 +33,44 @@ class TestNextUse:
         assert list(next_use) == [1, 2, INF]
 
 
+def _next_use_loop(keys) -> np.ndarray:
+    """The original per-access dict scan, kept as the oracle for the
+    vectorized :func:`compute_next_use`."""
+    n = len(keys)
+    next_use = np.full(n, INF, dtype=np.int64)
+    last_pos: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        key = int(keys[i])
+        if key in last_pos:
+            next_use[i] = last_pos[key]
+        last_pos[key] = i
+    return next_use
+
+
+@given(
+    keys=st.lists(st.integers(0, 2**63 - 1), max_size=300)
+    | st.lists(st.integers(0, 12), max_size=300),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_next_use_matches_loop(keys):
+    """Dense repeats and sparse 63-bit keys alike: the argsort linking
+    gives exactly the loop's next-use array (dtype included)."""
+    arr = np.asarray(keys, dtype=np.int64)
+    got = compute_next_use(arr)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _next_use_loop(arr))
+
+
+def test_next_use_matches_loop_on_uint64_benchmark_lines():
+    from repro.cache.hierarchy import filter_to_llc_stream
+    from repro.traces.suite import get_trace
+
+    stream = filter_to_llc_stream(get_trace("mcf", length=6000, seed=2))
+    lines = stream.lines()
+    assert lines.dtype == np.uint64
+    assert np.array_equal(compute_next_use(lines), _next_use_loop(lines))
+
+
 class TestBeladySmall:
     def test_repeated_line_always_hits(self):
         res = simulate_belady(np.array([1, 1, 1, 1]), num_sets=1, associativity=1)

@@ -37,6 +37,21 @@ def test_report_covers_every_fast_path_policy(report):
         )
 
 
+def test_report_records_min_on_both_engines(report):
+    entry = report["min"]
+    assert entry["reference_s"] > 0 and entry["fast_s"] > 0
+    accesses = report["filter"]["stream_length"]
+    for engine in ("reference", "fast"):
+        assert entry[f"{engine}_accesses_per_s"] == pytest.approx(
+            accesses / entry[f"{engine}_s"]
+        )
+    broken = dict(report, min={"reference_s": 1.0, "fast_s": 0.0})
+    assert "non-positive replay timing for 'min'" in validate_bench(broken)
+    assert "missing stage 'min'" in validate_bench(
+        {k: v for k, v in report.items() if k != "min"}
+    )
+
+
 def test_report_records_insight_overhead(report):
     assert sorted(report["insight"]) == ["glider", "hawkeye"]
     for entry in report["insight"].values():
