@@ -9,12 +9,7 @@ from .config import (
     paper_hierarchy,
     scaled_hierarchy,
 )
-from .fastsim import (
-    FAST_PATH_POLICIES,
-    EngineParityError,
-    fast_filter_to_llc_stream,
-    verify_parity,
-)
+from .fastsim import EngineParityError, fast_filter_to_llc_stream, verify_parity
 from .hierarchy import (
     CacheHierarchy,
     LLCStream,
@@ -47,3 +42,12 @@ __all__ = [
     "simulate_llc",
     "verify_parity",
 ]
+
+
+def __getattr__(name: str):
+    # Derived from the policy registry, which imports this package.
+    if name == "FAST_PATH_POLICIES":
+        from . import fastsim
+
+        return fastsim.FAST_PATH_POLICIES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -51,13 +51,7 @@ from .stats import CacheStats
 
 __all__ = [
     "_decode_stream",
-    "_finish_stats",
-    "_replay_drrip",
-    "_replay_ship",
-    "_replay_hawkeye",
-    "_replay_glider",
-    "_replay_mpppb",
-    "_replay_belady",
+    "_FlatKernel",
     "_DRRIPKernel",
     "_ShipKernel",
     "_HawkeyeKernel",
@@ -82,17 +76,44 @@ def _decode_stream(stream, config: CacheConfig):
     return sets, tags, stream.kinds.tolist(), stream.cores.tolist()
 
 
-def _finish_stats(name, dh, dm, wh, wm, ev, dev, pch, pcm) -> CacheStats:
-    stats = CacheStats(name=name)
-    stats.demand_hits = dh
-    stats.demand_misses = dm
-    stats.writeback_hits = wh
-    stats.writeback_misses = wm
-    stats.evictions = ev
-    stats.dirty_evictions = dev
-    stats.per_core_hits = pch
-    stats.per_core_misses = pcm
-    return stats
+class _FlatKernel:
+    """State and :meth:`finish` shared by every flat fast-path kernel.
+
+    All cross-access state lives in attributes, so a kernel can be fed a
+    stream in bounded-memory chunks (any number of :meth:`feed` calls,
+    then :meth:`finish`) and pickled between chunks for checkpointed
+    streaming replay; one whole-stream ``feed`` is a one-shot replay.
+    Besides the stats counters, every kernel keeps flat per-set tag and
+    dirty lists plus a per-set fill count (ways fill in order, so a set
+    with ``fill_count < assoc`` still has an invalid way).
+    """
+
+    def __init__(self, config: CacheConfig) -> None:
+        num_sets, assoc = config.num_sets, config.associativity
+        self.config = config
+        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
+        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
+        self.fill_count = [0] * num_sets
+        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
+        self.bypasses = 0
+        self.pch: dict[int, int] = {}
+        self.pcm: dict[int, int] = {}
+
+    def feed(self, stream, record=None) -> None:
+        raise NotImplementedError
+
+    def finish(self) -> CacheStats:
+        stats = CacheStats(name=self.config.name)
+        stats.demand_hits = self.dh
+        stats.demand_misses = self.dm
+        stats.writeback_hits = self.wh
+        stats.writeback_misses = self.wm
+        stats.bypasses = self.bypasses
+        stats.evictions = self.ev
+        stats.dirty_evictions = self.dev
+        stats.per_core_hits = self.pch
+        stats.per_core_misses = self.pcm
+        return stats
 
 
 # -- vectorized PC hashing ----------------------------------------------------
@@ -335,15 +356,8 @@ class _FlatOptGenSampler:
 # -- DRRIP --------------------------------------------------------------------
 
 
-class _DRRIPKernel:
-    """DRRIP fast kernel: RRIP substrate + leader-set duelling PSEL.
-
-    All cross-access state lives in attributes, so the kernel can be
-    fed a stream in bounded-memory chunks (:meth:`feed` any number of
-    times, then :meth:`finish`) and pickled between chunks for the
-    checkpointed streaming replay — a single ``feed`` of the whole
-    stream is bit-identical to the historical one-shot kernel.
-    """
+class _DRRIPKernel(_FlatKernel):
+    """DRRIP fast kernel: RRIP substrate + leader-set duelling PSEL."""
 
     def __init__(
         self,
@@ -354,8 +368,8 @@ class _DRRIPKernel:
         long_prob: float,
         seed: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.max_rrpv = max_rrpv
         self.psel_max = psel_max
         self.long_prob = long_prob
@@ -372,16 +386,10 @@ class _DRRIPKernel:
                 role[s] = 2
         self.role = role
         self.psel = psel_max // 2
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
         self.rng = np.random.default_rng(seed)
         self.draw_buf: list[float] = []
         self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _drrip_feed(self, stream, record)
@@ -392,13 +400,6 @@ class _DRRIPKernel:
                 psel=self.psel,
                 psel_fraction=self.psel / max(1, self.psel_max),
             )
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _drrip_feed(kernel, stream, record) -> None:
@@ -500,27 +501,10 @@ def _drrip_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_drrip(
-    stream,
-    config: CacheConfig,
-    max_rrpv: int,
-    num_leader_sets: int,
-    psel_max: int,
-    long_prob: float,
-    seed: int,
-    record,
-) -> CacheStats:
-    kernel = _DRRIPKernel(
-        config, max_rrpv, num_leader_sets, psel_max, long_prob, seed
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- SHiP / SHiP++ ------------------------------------------------------------
 
 
-class _ShipKernel:
+class _ShipKernel(_FlatKernel):
     """SHiP (``plus=False``) / SHiP++ fast kernel.
 
     Per-line signature is -1 outside sampled sets (the reference stores
@@ -542,8 +526,8 @@ class _ShipKernel:
         counter_max: int,
         num_sampled_sets: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.plus = plus
         self.max_rrpv = max_rrpv
         self.signature_bits = signature_bits
@@ -555,15 +539,9 @@ class _ShipKernel:
             sampled[i * stride] = True
         self.sampled = sampled
         self.shct = [counter_max // 2] * (1 << signature_bits)
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.sig_t = [[-1] * assoc for _ in range(num_sets)]
         self.out_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _ship_feed(self, stream, record)
@@ -578,13 +556,6 @@ class _ShipKernel:
                     sum(1 for c in shct if c == 0 or c == cmax) / len(shct)
                 ),
             )
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _ship_feed(kernel, stream, record) -> None:
@@ -695,30 +666,13 @@ def _ship_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_ship(
-    stream,
-    config: CacheConfig,
-    plus: bool,
-    max_rrpv: int,
-    signature_bits: int,
-    counter_max: int,
-    num_sampled_sets: int,
-    record,
-) -> CacheStats:
-    kernel = _ShipKernel(
-        config, plus, max_rrpv, signature_bits, counter_max, num_sampled_sets
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- Hawkeye ------------------------------------------------------------------
 
 _HAWKEYE_MAX_RRPV = 7
 _AGE_CAP = _HAWKEYE_MAX_RRPV - 1
 
 
-class _HawkeyeKernel:
+class _HawkeyeKernel(_FlatKernel):
     """Hawkeye fast kernel: sampled-set OPTgen training a counter table.
 
     Per-line state: RRPV, friendly bit, and the *predictor index* of the
@@ -740,8 +694,8 @@ class _HawkeyeKernel:
         num_sampled_sets: int,
         window_factor: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.table_bits = table_bits
         self.counter_max = counter_max
         mid = (counter_max + 1) // 2
@@ -749,15 +703,9 @@ class _HawkeyeKernel:
         self.sampler = _FlatOptGenSampler(
             num_sets, assoc, num_sampled_sets, window_factor
         )
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.fr_t = [[False] * assoc for _ in range(num_sets)]
         self.pi_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _hawkeye_feed(self, stream, record)
@@ -772,13 +720,6 @@ class _HawkeyeKernel:
                     sum(1 for c in table if c == 0 or c == cmax) / len(table)
                 ),
             )
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _hawkeye_feed(kernel, stream, record) -> None:
@@ -917,26 +858,10 @@ def _hawkeye_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_hawkeye(
-    stream,
-    config: CacheConfig,
-    table_bits: int,
-    counter_max: int,
-    num_sampled_sets: int,
-    window_factor: int,
-    record,
-) -> CacheStats:
-    kernel = _HawkeyeKernel(
-        config, table_bits, counter_max, num_sampled_sets, window_factor
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- Glider -------------------------------------------------------------------
 
 
-class _GliderKernel:
+class _GliderKernel(_FlatKernel):
     """Glider fast kernel: ISVM over the PCHR on Hawkeye's machinery.
 
     Per-core PCHRs are parallel (raw-pc, 4-bit-hash) lists; the context
@@ -969,8 +894,8 @@ class _GliderKernel:
     ) -> None:
         from ..core.isvm import HIGH_CONFIDENCE_SUM
 
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.k = k
         self.table_bits = table_bits
         self.weight_hash_bits = weight_hash_bits
@@ -989,16 +914,10 @@ class _GliderKernel:
             num_sets, assoc, num_sampled_sets, window_factor, tracker_ways
         )
         self.pchr: dict[int, list] = {}
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
         self.fr_t = [[False] * assoc for _ in range(num_sets)]
         self.ei_t = [[0] * assoc for _ in range(num_sets)]
         self.ctx_t = [[None] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _glider_feed(self, stream, record)
@@ -1023,13 +942,6 @@ class _GliderKernel:
                 isvm_active_weights=active,
                 threshold=self.threshold,
             )
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _glider_feed(kernel, stream, record) -> None:
@@ -1353,31 +1265,6 @@ def _glider_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_glider(
-    stream,
-    config: CacheConfig,
-    k: int,
-    table_bits: int,
-    weight_hash_bits: int,
-    threshold: int,
-    adaptive: bool,
-    adapt_interval: int,
-    num_sampled_sets: int,
-    window_factor: int,
-    tracker_ways,
-    detrain: bool,
-    confidence_insertion: bool,
-    record,
-) -> CacheStats:
-    kernel = _GliderKernel(
-        config, k, table_bits, weight_hash_bits, threshold, adaptive,
-        adapt_interval, num_sampled_sets, window_factor, tracker_ways,
-        detrain, confidence_insertion,
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- MPPPB --------------------------------------------------------------------
 
 #: Salts of MultiperspectivePredictor's nine feature tables, in order:
@@ -1445,7 +1332,7 @@ def _mpppb_features(
     return out
 
 
-class _MPPPBKernel:
+class _MPPPBKernel(_FlatKernel):
     """MPPPB fast kernel: multiperspective perceptron + graded RRIP.
 
     The nine feature tables are one flat weight list (feature ``f``'s
@@ -1477,8 +1364,8 @@ class _MPPPBKernel:
         bypass_threshold: int,
         dead_threshold: int,
     ) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.table_bits = table_bits
         self.theta = theta
         self.max_rrpv = max_rrpv
@@ -1495,26 +1382,10 @@ class _MPPPBKernel:
         self.sampled = sampled
         self.sampler: list[OrderedDict] = [OrderedDict() for _ in range(count)]
         self.history = np.zeros(_MPPPB_HISTORY, dtype=np.uint64)
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.bypasses = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _mpppb_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        stats = _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
-        stats.bypasses = self.bypasses
-        return stats
 
 
 def _mpppb_feed(kernel, stream, record) -> None:
@@ -1668,30 +1539,10 @@ def _mpppb_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_mpppb(
-    stream,
-    config: CacheConfig,
-    table_bits: int,
-    theta: int,
-    max_rrpv: int,
-    num_sampler_sets: int,
-    sampler_assoc: int,
-    bypass_threshold: int,
-    dead_threshold: int,
-    record,
-) -> CacheStats:
-    kernel = _MPPPBKernel(
-        config, table_bits, theta, max_rrpv, num_sampler_sets, sampler_assoc,
-        bypass_threshold, dead_threshold,
-    )
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
 # -- Belady MIN ---------------------------------------------------------------
 
 
-class _BeladyKernel:
+class _BeladyKernel(_FlatKernel):
     """Belady-MIN fast kernel over a precomputed next-use array.
 
     Per-set tag/dirty/next-use lists.  A miss bypasses when the incoming
@@ -1707,30 +1558,14 @@ class _BeladyKernel:
     """
 
     def __init__(self, config: CacheConfig, next_use: np.ndarray) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.next_use = next_use
         self.cursor = 0
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.next_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.bypasses = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _belady_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        stats = _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
-        stats.bypasses = self.bypasses
-        return stats
 
 
 def _belady_feed(kernel, stream, record) -> None:
@@ -1813,8 +1648,3 @@ def _belady_feed(kernel, stream, record) -> None:
         dh, dm, wh, wm, ev, dev
     )
 
-
-def _replay_belady(stream, config: CacheConfig, next_use, record) -> CacheStats:
-    kernel = _BeladyKernel(config, next_use)
-    kernel.feed(stream, record)
-    return kernel.finish()

@@ -3,17 +3,23 @@
 The reference simulator (:class:`~repro.cache.cache.SetAssociativeCache`
 driven by :func:`~repro.cache.hierarchy.simulate_llc`) walks lists of
 :class:`~repro.cache.block.CacheLine` objects and allocates a
-``CacheRequest`` per access.  That generality is what lets Hawkeye,
-Glider and the other learned policies hook every event — but for the
-*stateless* policies that dominate the experiment matrix (LRU, MRU,
-random, SRRIP, BRRIP) it is pure overhead: their victim choice is a
-function of a few per-line integers.
+``CacheRequest`` per access.  That generality is what lets every policy
+hook every event — but a policy whose decisions are a function of a few
+per-line integers and flat tables can be replayed far faster without it.
 
 This module provides:
 
 * **Fast-path kernels** — flat-list tag/dirty/last-touch/RRPV state per
   set (no per-line objects, no per-access allocation, set/tag splitting
-  vectorized up front with NumPy) for the stateless policies.
+  vectorized up front with NumPy).  The stateless kernels (LRU, MRU,
+  random, SRRIP/BRRIP) live here; the learned policies' kernels (DRRIP,
+  SHiP, SHiP++, Hawkeye, Glider, MPPPB) and Belady-MIN's live in
+  :mod:`repro.cache.fastpolicies`.  :data:`_KERNELS` is the one table
+  from kernel kind to kernel class.
+* **Kernel bindings** — a policy class with a kernel declares it once,
+  in :meth:`~repro.cache.policy.ReplacementPolicy.fast_kernel`;
+  :func:`fast_path_kernel` and the ``FAST_PATH_POLICIES`` /
+  ``REFERENCE_ONLY_POLICIES`` split are derived from those declarations.
 * **A shared engine protocol** — :func:`replay` dispatches a policy
   (registry name or instance) to its fast kernel when one exists and
   falls back *transparently* to the reference engine otherwise, so
@@ -30,7 +36,7 @@ This module provides:
   stream construction; it produces a bit-identical
   :class:`~repro.cache.hierarchy.LLCStream`.
 
-Determinism: the stochastic kernels (random, BRRIP) reproduce the
+Determinism: the stochastic kernels (random, BRRIP, DRRIP) reproduce the
 reference policies' exact RNG draw sequence (``np.random.default_rng``
 seeded identically, drawn at the same events), so fast and reference
 runs are bit-identical, not merely statistically alike.
@@ -39,9 +45,8 @@ runs are bit-identical, not merely statistically alike.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -54,16 +59,10 @@ from .fastpolicies import (
     _BeladyKernel,
     _decode_stream,
     _DRRIPKernel,
-    _finish_stats,
+    _FlatKernel,
     _GliderKernel,
     _HawkeyeKernel,
     _MPPPBKernel,
-    _replay_belady,
-    _replay_drrip,
-    _replay_glider,
-    _replay_hawkeye,
-    _replay_mpppb,
-    _replay_ship,
     _ShipKernel,
 )
 from .stats import CacheStats
@@ -83,39 +82,26 @@ __all__ = [
     "verify_parity",
 ]
 
-#: Registry names with a fast-path kernel (with their default parameters).
-#: The learned family (drrip/ship/ship++/hawkeye/glider/mpppb) is
-#: implemented in :mod:`repro.cache.fastpolicies`; the stateless kernels
-#: live here.  (Belady-MIN also has a kernel, but it is no registry
-#: policy: it dispatches by instance, see :func:`fast_path_kernel`.)
-FAST_PATH_POLICIES = (
-    "lru",
-    "mru",
-    "random",
-    "srrip",
-    "brrip",
-    "drrip",
-    "ship",
-    "ship++",
-    "hawkeye",
-    "glider",
-    "mpppb",
-)
 
-#: Registry names that have *no* fast-path kernel yet: the SDBP and
-#: perceptron samplers (not ported), and the per-set reuse-distance
-#: heads of the frd family (whose victim rule is still under audit).
-#: Every registered policy must appear in exactly one of
-#: FAST_PATH_POLICIES or this tuple — enforced by the conformance
-#: registry-drift guard — so a newly registered policy cannot silently
-#: skip parity coverage.
-REFERENCE_ONLY_POLICIES = (
-    "sdbp",
-    "perceptron",
-    "frd",
-    "mustache",
-    "deap",
-)
+def __getattr__(name: str):
+    """``FAST_PATH_POLICIES`` / ``REFERENCE_ONLY_POLICIES``: the registry
+    names (in registry order) with and without a fast-path kernel.
+
+    Derived from the policies' kernel bindings on every access, so a
+    policy registered later is classified too; computed lazily because
+    the registry imports this package.
+    """
+    if name in ("FAST_PATH_POLICIES", "REFERENCE_ONLY_POLICIES"):
+        from ..policies.registry import _FACTORIES
+
+        fast = name == "FAST_PATH_POLICIES"
+        return tuple(
+            policy
+            for policy in _FACTORIES
+            if (fast_path_kernel(policy) is not None) == fast
+        )
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Event tuple layout: (hit, bypassed, way, evicted_tag, evicted_dirty).
 _KIND_LOAD, _KIND_STORE, _KIND_WRITEBACK = 0, 1, 2
@@ -159,122 +145,36 @@ class EngineParityError(AssertionError):
 def fast_path_kernel(policy) -> tuple[str, dict] | None:
     """Resolve a policy (registry name or instance) to a fast kernel.
 
-    Returns ``(kernel, params)`` or None when the policy must take the
-    reference engine.  Instances are matched by *exact* type so that a
-    subclass with overridden hooks is never silently fast-pathed; a
-    stochastic policy instance is assumed fresh (un-drawn RNG), which is
-    how every experiment constructs them.  The learned policies (DRRIP,
-    SHiP, SHiP++, Hawkeye, Glider, MPPPB) fast-path by *registry name
-    only*: their instances accumulate trained state (PSEL/SHCT/predictor
-    tables/ISVM weights/perceptron weights) that callers inspect after a
-    simulation — e.g. the accuracy eval reads ``policy.predictor`` — and
-    a kernel replay would leave the object untouched.  Pass the name
-    when only the stats matter; pass an instance to get a trained object
-    back.  Belady-MIN is the exception: it has no registry name and no
-    trained state to inspect (its only state is the next-use array the
-    kernel reads), so an exact
-    :class:`~repro.policies.belady_policy.BeladyPolicy` *instance*
-    dispatches to the ``belady`` kernel.
+    Returns the ``(kernel_kind, params)`` binding that the policy's
+    class declares in
+    :meth:`~repro.cache.policy.ReplacementPolicy.fast_kernel`, or None
+    when the policy must take the reference engine.  A binding counts
+    only on the *exact* class that declares it, so a subclass with
+    overridden hooks is never silently fast-pathed; a registry name
+    resolves like the fresh instance ``make_policy(name)``; a
+    stochastic instance is assumed fresh (un-drawn RNG), which is how
+    every experiment constructs them.  Classes that set
+    ``kernel_by_name_only`` (DRRIP, SHiP, SHiP++, Hawkeye, Glider,
+    MPPPB) fast-path by *registry name only*: their instances
+    accumulate trained state (PSEL/SHCT/predictor tables/ISVM
+    weights/perceptron weights) that callers inspect after a
+    simulation — e.g. the accuracy eval reads ``policy.predictor`` —
+    and a kernel replay would leave the object untouched.  Pass the
+    name when only the stats matter; pass an instance to get a trained
+    object back.  Belady-MIN has no registry name and no trained state
+    to inspect, so an exact
+    :class:`~repro.policies.belady_policy.BeladyPolicy` instance takes
+    the ``belady`` kernel.
     """
-    from ..policies.belady_policy import BeladyPolicy
-    from ..policies.lru import LRUPolicy, MRUPolicy
-    from ..policies.random_policy import RandomPolicy
-    from ..policies.rrip import BRRIPPolicy, SRRIPPolicy
-
     if isinstance(policy, str):
-        defaults = {
-            "lru": ("lru", {}),
-            "mru": ("mru", {}),
-            "random": ("random", {"seed": 0}),
-            "srrip": ("rrip", {"max_rrpv": 3, "long_prob": None, "seed": 0}),
-            "brrip": ("rrip", {"max_rrpv": 3, "long_prob": 1 / 32, "seed": 0}),
-            "drrip": (
-                "drrip",
-                {
-                    "max_rrpv": 3,
-                    "num_leader_sets": 32,
-                    "psel_max": 1023,
-                    "long_prob": 1 / 32,
-                    "seed": 0,
-                },
-            ),
-            "ship": (
-                "ship",
-                {
-                    "plus": False,
-                    "max_rrpv": 3,
-                    "signature_bits": 14,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                },
-            ),
-            "ship++": (
-                "ship",
-                {
-                    "plus": True,
-                    "max_rrpv": 3,
-                    "signature_bits": 14,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                },
-            ),
-            "hawkeye": (
-                "hawkeye",
-                {
-                    "table_bits": 11,
-                    "counter_max": 7,
-                    "num_sampled_sets": 64,
-                    "window_factor": 8,
-                },
-            ),
-            "glider": (
-                "glider",
-                {
-                    "k": 5,
-                    "table_bits": 11,
-                    "weight_hash_bits": 4,
-                    "threshold": 30,
-                    "adaptive": False,
-                    "adapt_interval": 512,
-                    "num_sampled_sets": 64,
-                    "window_factor": 8,
-                    "tracker_ways": None,
-                    "detrain": True,
-                    "confidence_insertion": True,
-                },
-            ),
-            "mpppb": (
-                "mpppb",
-                {
-                    "table_bits": 12,
-                    "theta": 68,
-                    "max_rrpv": 7,
-                    "num_sampler_sets": 64,
-                    "sampler_assoc": 16,
-                    "bypass_threshold": 50,
-                    "dead_threshold": 10,
-                },
-            ),
-        }
-        return defaults.get(policy)
-    kind = type(policy)
-    if kind is LRUPolicy:
-        return "lru", {}
-    if kind is MRUPolicy:
-        return "mru", {}
-    if kind is RandomPolicy:
-        return "random", {"seed": policy._seed}
-    if kind is BRRIPPolicy:  # before SRRIP: BRRIP subclasses it
-        return "rrip", {
-            "max_rrpv": policy.max_rrpv,
-            "long_prob": policy.long_probability,
-            "seed": policy._seed,
-        }
-    if kind is SRRIPPolicy:
-        return "rrip", {"max_rrpv": policy.max_rrpv, "long_prob": None, "seed": 0}
-    if kind is BeladyPolicy:
-        return "belady", {"next_use": policy._next_use}
-    return None
+        from ..policies.registry import make_policy
+
+        policy = make_policy(policy)
+    elif policy.kernel_by_name_only:
+        return None
+    if "fast_kernel" not in vars(type(policy)):
+        return None
+    return policy.fast_kernel()
 
 
 def _llc_config(config) -> CacheConfig:
@@ -286,44 +186,22 @@ def _llc_config(config) -> CacheConfig:
 
 
 # -- fast kernels -------------------------------------------------------------
-# (_decode_stream and _finish_stats live in fastpolicies and are shared
-# by the stateless kernels below and the learned-policy kernels there.)
+# (_FlatKernel and _decode_stream live in fastpolicies and are shared by
+# the stateless kernels below and the learned-policy kernels there.)
 
 
-class _RecencyKernel:
-    """LRU (``newest=False``) / MRU (``newest=True``) fast kernel.
-
-    Like every kernel class in this module and
-    :mod:`repro.cache.fastpolicies`, all cross-access state lives in
-    attributes so the kernel can be fed a stream in bounded-memory
-    chunks (any number of :meth:`feed` calls, then :meth:`finish`) and
-    pickled between chunks for checkpointed streaming replay.  Feeding
-    the whole stream in one call is bit-identical to the historical
-    one-shot kernel — the loop bodies are unchanged.
-    """
+class _RecencyKernel(_FlatKernel):
+    """LRU (``newest=False``) / MRU (``newest=True``) fast kernel."""
 
     def __init__(self, config: CacheConfig, newest: bool) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.newest = newest
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
         self.touch_t = [[0] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
-        self.dh = self.dm = self.wh = self.wm = 0
-        self.ev = self.dev = self.counter = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
+        self.counter = 0
 
     def feed(self, stream, record=None) -> None:
         _recency_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _recency_feed(kernel, stream, record) -> None:
@@ -387,13 +265,7 @@ def _recency_feed(kernel, stream, record) -> None:
     kernel.ev, kernel.dev, kernel.counter = ev, dev, counter
 
 
-def _replay_recency(stream, config: CacheConfig, newest: bool, record) -> CacheStats:
-    kernel = _RecencyKernel(config, newest)
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
-class _RandomKernel:
+class _RandomKernel(_FlatKernel):
     """Random-victim fast kernel (reference RNG draw sequence preserved).
 
     The RNG and its refill buffer are attributes: a pickled kernel
@@ -402,29 +274,15 @@ class _RandomKernel:
     """
 
     def __init__(self, config: CacheConfig, seed: int) -> None:
-        num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
+        super().__init__(config)
         # Batched draws are bit-identical to per-call draws for PCG64, so
         # a refill buffer preserves the reference policy's exact sequence.
         self.rng = np.random.default_rng(seed)
         self.draw_buf: list[int] = []
         self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _random_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _random_feed(kernel, stream, record) -> None:
@@ -491,40 +349,21 @@ def _random_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_random(stream, config: CacheConfig, seed: int, record) -> CacheStats:
-    kernel = _RandomKernel(config, seed)
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
-class _RRIPKernel:
-    """SRRIP (``long_prob=None``) / BRRIP fast kernel (chunk-feedable)."""
+class _RRIPKernel(_FlatKernel):
+    """SRRIP (``long_prob=None``) / BRRIP fast kernel."""
 
     def __init__(self, config: CacheConfig, max_rrpv: int, long_prob, seed: int) -> None:
+        super().__init__(config)
         num_sets, assoc = config.num_sets, config.associativity
-        self.config = config
         self.max_rrpv = max_rrpv
         self.long_prob = long_prob
-        self.tag_t = [[-1] * assoc for _ in range(num_sets)]
-        self.dirty_t = [[False] * assoc for _ in range(num_sets)]
         self.rrpv_t = [[0] * assoc for _ in range(num_sets)]
-        self.fill_count = [0] * num_sets
         self.rng = np.random.default_rng(seed) if long_prob is not None else None
         self.draw_buf: list[float] = []
         self.draw_pos = 0
-        self.dh = self.dm = self.wh = self.wm = self.ev = self.dev = 0
-        self.pch: dict[int, int] = {}
-        self.pcm: dict[int, int] = {}
 
     def feed(self, stream, record=None) -> None:
         _rrip_feed(self, stream, record)
-
-    def finish(self) -> CacheStats:
-        return _finish_stats(
-            self.config.name,
-            self.dh, self.dm, self.wh, self.wm, self.ev, self.dev,
-            self.pch, self.pcm,
-        )
 
 
 def _rrip_feed(kernel, stream, record) -> None:
@@ -609,47 +448,11 @@ def _rrip_feed(kernel, stream, record) -> None:
     )
 
 
-def _replay_rrip(
-    stream, config: CacheConfig, max_rrpv: int, long_prob, seed: int, record
-) -> CacheStats:
-    kernel = _RRIPKernel(config, max_rrpv, long_prob, seed)
-    kernel.feed(stream, record)
-    return kernel.finish()
-
-
+#: Kernel kind (the first item of a policy's ``fast_kernel()`` binding)
+#: -> kernel class; ``_KERNELS[kind](llc_config, **params)`` builds it.
 _KERNELS = {
-    "lru": lambda stream, cfg, record: _replay_recency(stream, cfg, False, record),
-    "mru": lambda stream, cfg, record: _replay_recency(stream, cfg, True, record),
-    "random": lambda stream, cfg, record, **kw: _replay_random(
-        stream, cfg, record=record, **kw
-    ),
-    "rrip": lambda stream, cfg, record, **kw: _replay_rrip(
-        stream, cfg, record=record, **kw
-    ),
-    "drrip": lambda stream, cfg, record, **kw: _replay_drrip(
-        stream, cfg, record=record, **kw
-    ),
-    "ship": lambda stream, cfg, record, **kw: _replay_ship(
-        stream, cfg, record=record, **kw
-    ),
-    "hawkeye": lambda stream, cfg, record, **kw: _replay_hawkeye(
-        stream, cfg, record=record, **kw
-    ),
-    "glider": lambda stream, cfg, record, **kw: _replay_glider(
-        stream, cfg, record=record, **kw
-    ),
-    "mpppb": lambda stream, cfg, record, **kw: _replay_mpppb(
-        stream, cfg, record=record, **kw
-    ),
-    "belady": lambda stream, cfg, record, **kw: _replay_belady(
-        stream, cfg, record=record, **kw
-    ),
-}
-
-# Kernel-kind -> chunk-feedable class (same params as fast_path_kernel).
-_STREAM_KERNELS = {
-    "lru": lambda cfg, **p: _RecencyKernel(cfg, newest=False, **p),
-    "mru": lambda cfg, **p: _RecencyKernel(cfg, newest=True, **p),
+    "lru": partial(_RecencyKernel, newest=False),
+    "mru": partial(_RecencyKernel, newest=True),
     "random": _RandomKernel,
     "rrip": _RRIPKernel,
     "drrip": _DRRIPKernel,
@@ -662,14 +465,14 @@ _STREAM_KERNELS = {
 
 
 class _ReferenceKernel:
-    """Chunk-feedable wrapper around the reference object engine.
+    """The reference object engine behind the kernel interface.
 
-    Used by the streaming replay path for policies without a fast
-    kernel.  A running ``access_index`` carries across chunks so
-    requests are numbered exactly as :meth:`LLCStream.requests` would
-    number them in one shot; the wrapped cache and policy are plain
-    attribute state, so the kernel pickles for checkpointing whenever
-    the policy itself does.
+    Takes the policies without a fast kernel (and every replay with
+    ``engine="reference"``).  A running ``access_index`` carries across
+    :meth:`feed` calls, so requests are numbered exactly as
+    :meth:`LLCStream.requests` numbers them in one shot; the wrapped
+    cache and policy are plain attribute state, so the kernel pickles
+    for checkpointing whenever the policy itself does.
     """
 
     def __init__(self, policy, config) -> None:
@@ -685,19 +488,20 @@ class _ReferenceKernel:
         from .block import AccessType, CacheRequest
 
         kind_map = {0: AccessType.LOAD, 1: AccessType.STORE, 2: AccessType.WRITEBACK}
-        llc = self.llc
+        access = self.llc.access
         index = self.access_index
-        pcs = stream.pcs
-        addresses = stream.addresses
-        kinds = stream.kinds
-        cores = stream.cores
-        for i in range(len(pcs)):
-            result = llc.access(
+        for pc, address, kind, core in zip(
+            stream.pcs.tolist(),
+            stream.addresses.tolist(),
+            stream.kinds.tolist(),
+            stream.cores.tolist(),
+        ):
+            result = access(
                 CacheRequest(
-                    pc=int(pcs[i]),
-                    address=int(addresses[i]),
-                    access_type=kind_map[int(kinds[i])],
-                    core=int(cores[i]),
+                    pc=pc,
+                    address=address,
+                    access_type=kind_map[kind],
+                    core=core,
                     access_index=index,
                 )
             )
@@ -719,7 +523,7 @@ class _ReferenceKernel:
 
 
 def make_stream_kernel(policy, config=None, engine: str = "auto"):
-    """Build a chunk-feedable replay kernel for ``policy``.
+    """Build the replay kernel for ``policy`` on ``engine``.
 
     Returns an object with ``feed(chunk, record=None)`` and
     ``finish() -> CacheStats``; ``chunk`` is anything with
@@ -727,21 +531,24 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
     (:class:`StreamChunk` or a full ``LLCStream``).  Feeding a stream
     in any chunking produces bit-identical stats to a one-shot
     :func:`replay` of the same accesses.  ``engine`` follows
-    :func:`replay`: ``"auto"`` picks the fast kernel when one exists,
-    ``"reference"`` forces the object engine, ``"fast"`` raises for
-    unsupported policies.
+    :func:`replay`.
     """
     if engine not in ("auto", "fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
     llc = _llc_config(config)
-    resolved = fast_path_kernel(policy) if engine != "reference" else None
-    if resolved is None:
+    binding = fast_path_kernel(policy) if engine != "reference" else None
+    if binding is None:
         if engine == "fast":
             name = policy if isinstance(policy, str) else type(policy).__name__
             raise ValueError(f"policy {name!r} has no fast-path kernel")
         return _ReferenceKernel(policy, llc)
-    kind, params = resolved
-    return _STREAM_KERNELS[kind](llc, **params)
+    kind, params = binding
+    return _KERNELS[kind](llc, **params)
+
+
+def _run(kernel, stream, record) -> CacheStats:
+    kernel.feed(stream, record)
+    return kernel.finish()
 
 
 # -- the engine protocol ------------------------------------------------------
@@ -750,28 +557,7 @@ def make_stream_kernel(policy, config=None, engine: str = "auto"):
 def reference_replay(stream, policy, config=None, record: list | None = None) -> CacheStats:
     """Replay on the reference object-based engine, optionally recording
     the per-access event stream for parity checking."""
-    from ..policies.registry import make_policy
-    from .cache import SetAssociativeCache
-
-    if isinstance(policy, str):
-        policy = make_policy(policy)
-    llc = SetAssociativeCache(_llc_config(config), policy)
-    if record is None:
-        for request in stream.requests():
-            llc.access(request)
-    else:
-        for request in stream.requests():
-            result = llc.access(request)
-            record.append(
-                (
-                    int(result.hit),
-                    int(result.bypassed),
-                    result.way,
-                    result.evicted_tag,
-                    int(result.evicted_dirty),
-                )
-            )
-    return llc.stats
+    return _run(_ReferenceKernel(policy, config), stream, record)
 
 
 def replay(
@@ -780,31 +566,39 @@ def replay(
     config=None,
     engine: str = "auto",
     record: list | None = None,
-    verify: bool = False,
 ) -> CacheStats:
-    """Observability wrapper around :func:`_replay` (same contract).
+    """Replay an LLC stream against a policy on the best engine.
+
+    ``policy`` is a registry name or a :class:`ReplacementPolicy`
+    instance; ``config`` a :class:`HierarchyConfig`, a single
+    :class:`CacheConfig` (the LLC geometry), or None for the default
+    scaled hierarchy.  ``engine`` is ``"auto"`` (fast when a kernel
+    exists, reference otherwise), ``"fast"`` (error if unsupported), or
+    ``"reference"``.  ``record``, when given, receives the per-access
+    event tuples.
 
     When metrics/tracing are off — the default — this is one flag check
-    and a tail call; the kernels themselves are never instrumented, so
-    the fast path pays nothing per access.  An installed
+    around the replay; the kernels themselves are never instrumented,
+    so the fast path pays nothing per access.  An installed
     :mod:`repro.obs.insight` recorder is engine-independent (the kernels
-    and reference policies feed it directly); this wrapper only mirrors
-    its gauges into the metrics registry after the run.
+    and reference policies feed it directly); this function only
+    mirrors its gauges into the metrics registry after the run.
     """
+    kernel = make_stream_kernel(policy, config, engine)
     if not obs_metrics.ENABLED and obs_trace.get_tracer() is None:
-        return _replay(stream, policy, config, engine, record, verify)
+        return _run(kernel, stream, record)
 
     pname = policy if isinstance(policy, str) else getattr(
         policy, "name", type(policy).__name__
     )
-    used = "fast" if engine != "reference" and fast_path_kernel(policy) else "reference"
+    used = "reference" if isinstance(kernel, _ReferenceKernel) else "fast"
     accesses = len(stream.addresses)
     with obs_trace.span(
         "sim.replay", policy=str(pname), engine=used, accesses=accesses,
         benchmark=stream.name,
     ):
         t0 = time.perf_counter()
-        stats = _replay(stream, policy, config, engine, record, verify)
+        stats = _run(kernel, stream, record)
         elapsed = time.perf_counter() - t0
     if obs_metrics.ENABLED:
         labels = {"policy": str(pname), "engine": used}
@@ -825,71 +619,6 @@ def replay(
         if recorder is not None:
             recorder.publish()
     return stats
-
-
-def _replay(
-    stream,
-    policy,
-    config=None,
-    engine: str = "auto",
-    record: list | None = None,
-    verify: bool = False,
-) -> CacheStats:
-    """Replay an LLC stream against a policy on the best engine.
-
-    ``policy`` is a registry name or a :class:`ReplacementPolicy`
-    instance; ``config`` a :class:`HierarchyConfig`, a single
-    :class:`CacheConfig` (the LLC geometry), or None for the default
-    scaled hierarchy.  ``engine`` is ``"auto"`` (fast when a kernel
-    exists, reference otherwise), ``"fast"`` (error if unsupported), or
-    ``"reference"``.
-
-    Graceful degradation: with ``engine="auto"``, an
-    :class:`EngineParityError` raised at runtime — by a self-checking
-    kernel, or by the ``verify=True`` cross-check below — does not
-    propagate; the replay falls back to the reference engine with a
-    :class:`RuntimeWarning`, so a fast-path bug costs speed, never a
-    run.  ``verify=True`` (registry-name policies only) runs *both*
-    engines and checks access-by-access parity — a paranoia mode for
-    long unattended sweeps; with ``engine="fast"`` a parity failure
-    still raises.
-    """
-    if engine not in ("auto", "fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    llc = _llc_config(config)
-    kernel = fast_path_kernel(policy) if engine != "reference" else None
-    if kernel is None:
-        if engine == "fast":
-            name = policy if isinstance(policy, str) else type(policy).__name__
-            raise ValueError(f"policy {name!r} has no fast-path kernel")
-        return reference_replay(stream, policy, llc, record=record)
-    if verify and not isinstance(policy, str):
-        raise ValueError("verify=True requires a registry-name policy")
-    kind, params = kernel
-    try:
-        if verify:
-            fast_events = record if record is not None else []
-            fast_stats = _KERNELS[kind](stream, llc, fast_events, **params)
-            ref_events: list = []
-            ref_stats = reference_replay(stream, policy, llc, record=ref_events)
-            if fast_events != ref_events or fast_stats != ref_stats:
-                raise EngineParityError(
-                    f"{policy}: fast and reference engines diverged at runtime"
-                )
-            return fast_stats
-        return _KERNELS[kind](stream, llc, record, **params)
-    except EngineParityError as error:
-        if engine == "fast":
-            raise
-        warnings.warn(
-            f"fast engine failed parity ({error}); falling back to the "
-            "reference engine for this replay",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        if record is not None:
-            record.clear()
-        return reference_replay(stream, policy, llc, record=record)
 
 
 def _set_state_before(stream, policy, config, index: int) -> tuple[int, list]:

@@ -260,13 +260,15 @@ def simulate_llc(
 ) -> CacheStats:
     """Phase 2: replay a recorded LLC stream against one policy.
 
-    Dispatches through :func:`repro.cache.fastsim.replay`: every
-    registry name in ``FAST_PATH_POLICIES`` (the stateless policies and
-    the learned DRRIP/SHiP/SHiP++/Hawkeye/Glider/MPPPB) and a
-    ``BeladyPolicy`` instance take an array-backed fast kernel; the
-    names in ``REFERENCE_ONLY_POLICIES`` and every other instance run
-    the reference engine.  Both engines are access-by-access equivalent
-    (see the fastsim parity suite).
+    Dispatches through :func:`repro.cache.fastsim.replay`, which takes
+    the flat kernel a policy class declares in ``fast_kernel()``: a
+    registry name takes it whenever the class declares one (the
+    stateless policies and the learned DRRIP/SHiP/SHiP++/Hawkeye/
+    Glider/MPPPB); an instance takes it only if its exact class
+    declares one and keeps no trained state for the caller to inspect
+    (LRU, MRU, random, SRRIP, BRRIP and ``BeladyPolicy``).  Everything
+    else runs the reference engine.  Both engines are access-by-access
+    equivalent (see the fastsim parity suite).
     """
     from .fastsim import replay
 

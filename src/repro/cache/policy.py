@@ -56,6 +56,13 @@ class ReplacementPolicy:
     #: Short machine name; the registry keys policies by this.
     name = "base"
 
+    #: True for policies whose instances accumulate trained state that
+    #: callers read back after a run (PSEL, SHCT, predictor tables,
+    #: weights): an *instance* of such a class always replays on the
+    #: reference engine, and only its registry name takes the kernel
+    #: that :meth:`fast_kernel` declares.
+    kernel_by_name_only = False
+
     def __init__(self) -> None:
         self.cache: "SetAssociativeCache | None" = None
 
@@ -112,3 +119,22 @@ class ReplacementPolicy:
 
     def reset(self) -> None:
         """Clear all learned state (between runs); default is stateless."""
+
+    # -- fast path and serving ---------------------------------------------
+    def fast_kernel(self) -> tuple[str, dict] | None:
+        """The flat kernel that replays this policy bit for bit, or None.
+
+        Returns ``(kernel_kind, params)``: a kernel kind known to
+        :mod:`repro.cache.fastsim` and that kernel's keyword arguments,
+        read from ``self``.  A binding returns None for any
+        configuration its kernel cannot reproduce.  Dispatch honours a
+        binding only on the class that declares it, so a subclass takes
+        the reference engine unless it declares its own.
+        """
+        return None
+
+    def predict(self, pc: int, address: int, core: int) -> dict | None:
+        """JSON-safe reuse prediction for ``pc`` touching ``address`` on
+        ``core`` (the serve decision endpoints), or None when the policy
+        has no predictor.  Must never change replacement behaviour."""
+        return None

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..cache.fastsim import FAST_PATH_POLICIES, EngineParityError, verify_parity
+from ..cache import fastsim
+from ..cache.fastsim import EngineParityError, fast_path_kernel, verify_parity
 from ..cache.hierarchy import LLCStream
 from ..robust.store import ArtifactStore
 from .differential import check_min_kernel, cross_validate_optgen
@@ -162,7 +163,7 @@ def load_entry(
         name=metadata.get("name", benchmark),
         stream=stream,
         config=config,
-        policies=tuple(metadata.get("policies", FAST_PATH_POLICIES)),
+        policies=tuple(metadata.get("policies", fastsim.FAST_PATH_POLICIES)),
         kind=metadata.get("kind", "regression"),
         metadata=metadata,
     )
@@ -171,9 +172,8 @@ def load_entry(
 def replay_entry(entry: CorpusEntry, invariant_every: int = 64) -> list[str]:
     """Re-run every check an entry encodes; returns failure messages."""
     problems: list[str] = []
-    fast_path = set(FAST_PATH_POLICIES)
     for policy in entry.policies:
-        if policy in fast_path:
+        if fast_path_kernel(policy) is not None:
             try:
                 verify_parity(entry.stream, policy, entry.config)
             except EngineParityError as error:
@@ -226,7 +226,7 @@ def seed_corpus(corpus_dir: str | Path | None = None, length: int = 400) -> list
     for i, family in enumerate(GENERATOR_FAMILIES):
         spec = CaseSpec(family=family, seed=100 + i, length=length)
         stream = generate_stream(spec)
-        policies = tuple(FAST_PATH_POLICIES) + (
+        policies = fastsim.FAST_PATH_POLICIES + (
             _SENTINEL_REFERENCE_POLICY[family],
         )
         paths.append(

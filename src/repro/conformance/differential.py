@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cache.fastsim import (
-    FAST_PATH_POLICIES,
-    REFERENCE_ONLY_POLICIES,
     EngineParityError,
+    fast_path_kernel,
     verify_min_parity,
     verify_parity,
 )
 from ..optgen.belady import simulate_belady
 from ..optgen.optgen import OptGen
+from ..policies.registry import available_policies
 from .generators import CaseSpec, generate_stream, spec_config
 from .invariants import InvariantViolation, check_optgen_vector, checked_replay
 
@@ -94,14 +94,8 @@ class CaseResult:
 
 
 def default_policies() -> tuple[str, ...]:
-    """Every policy the conformance suite covers, fast-path first.
-
-    Built from the two fastsim coverage lists rather than the registry
-    so the registry-drift guard (not this function) is the single place
-    that fails when a new policy is registered without a coverage
-    decision.
-    """
-    return tuple(FAST_PATH_POLICIES) + tuple(REFERENCE_ONLY_POLICIES)
+    """Every registered policy: the conformance suite covers them all."""
+    return tuple(available_policies())
 
 
 def cross_validate_optgen(
@@ -181,12 +175,11 @@ def run_case(
     result = CaseResult(spec=spec, policies=policies)
     stream = generate_stream(spec)
     config = spec_config(spec)
-    fast_path = set(FAST_PATH_POLICIES)
     belady_hits: int | None = None
 
     for policy in policies:
         stats = None
-        if policy in fast_path:
+        if fast_path_kernel(policy) is not None:
             result.checks += 1
             try:
                 stats, _ = verify_parity(stream, policy, config)

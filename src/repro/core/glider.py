@@ -72,6 +72,7 @@ class GliderPolicy(ReplacementPolicy):
     """Glider: ISVM-predicted insertion over Hawkeye's RRIP machinery."""
 
     name = "glider"
+    kernel_by_name_only = True
 
     def __init__(self, config: GliderConfig | None = None) -> None:
         super().__init__()
@@ -90,6 +91,31 @@ class GliderPolicy(ReplacementPolicy):
         # (set by on_access, consumed by on_hit/on_fill/victim).
         self._inflight_context: tuple[int, ...] | None = None
         self._inflight_key: tuple[int, int] | None = None
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        config = self.config
+        return "glider", {
+            "k": config.k,
+            "table_bits": config.table_bits,
+            "weight_hash_bits": config.weight_hash_bits,
+            "threshold": config.threshold,
+            "adaptive": config.adaptive_threshold,
+            "adapt_interval": self.isvm.adapt_interval,
+            "num_sampled_sets": config.num_sampled_sets,
+            "window_factor": config.window_factor,
+            "tracker_ways": config.tracker_ways,
+            "detrain": config.detrain_on_eviction,
+            "confidence_insertion": config.confidence_insertion,
+        }
+
+    def predict(self, pc: int, address: int, core: int) -> dict:
+        """ISVM prediction over ``core``'s current PCHR."""
+        prediction = self.isvm.predict(pc, tuple(self._pchr(core)))
+        return {
+            "friendly": bool(prediction.is_friendly),
+            "confidence": prediction.confidence.value,
+            "weight_sum": int(prediction.total),
+        }
 
     def attach(self, cache) -> None:
         super().attach(cache)

@@ -32,7 +32,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from ..cache.fastsim import FAST_PATH_POLICIES, reference_replay, replay
+from ..cache import fastsim
+from ..cache.fastsim import reference_replay, replay
 from ..cache.hierarchy import filter_to_llc_stream
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -153,7 +154,7 @@ def run_bench(
         "benchmark": benchmark,
         "repeats": repeats,
         "config": asdict(config),
-        "fast_path_policies": list(FAST_PATH_POLICIES),
+        "fast_path_policies": list(fastsim.FAST_PATH_POLICIES),
     }
 
     # -- stage 1: trace -> LLC stream ----------------------------------------
@@ -193,7 +194,8 @@ def run_bench(
         }
 
     report["replay"] = {
-        policy: time_engines(policy, policy) for policy in FAST_PATH_POLICIES
+        policy: time_engines(policy, policy)
+        for policy in fastsim.FAST_PATH_POLICIES
     }
     # MIN is an instance, not a registry name; it holds no trained state,
     # so both engines can share one.

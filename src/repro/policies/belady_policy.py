@@ -39,6 +39,10 @@ class BeladyPolicy(ReplacementPolicy):
         """Build from an :class:`~repro.cache.hierarchy.LLCStream`."""
         return cls(stream.lines().astype(np.int64))
 
+    def fast_kernel(self) -> tuple[str, dict]:
+        # No trained state to read back: an instance takes the kernel.
+        return "belady", {"next_use": self._next_use}
+
     def _incoming_next_use(self, request: CacheRequest) -> int:
         if request.access_index >= len(self._next_use):
             raise IndexError(

@@ -59,8 +59,8 @@ class DEAPPolicy(FRDPolicy):
         self.admissions += 1
         return super().victim(set_index, request, ways)
 
-    def predict_reuse(self, pc: int, address: int) -> dict:
-        prediction = super().predict_reuse(pc, address)
+    def predict(self, pc: int, address: int, core: int) -> dict:
+        prediction = super().predict(pc, address, core)
         prediction["admit"] = prediction["bucket"] < self.bypass_bucket
         return prediction
 

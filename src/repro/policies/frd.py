@@ -178,7 +178,7 @@ class FRDPolicy(ReplacementPolicy):
         return state
 
     # -- serve-facing prediction ---------------------------------------------
-    def predict_reuse(self, pc: int, address: int) -> dict:
+    def predict(self, pc: int, address: int, core: int) -> dict:
         """Reuse prediction for the serve decision endpoints (JSON-safe).
 
         Read-only with respect to behavior: it may lazily allocate the

@@ -64,6 +64,7 @@ class HawkeyePolicy(ReplacementPolicy):
     """The Hawkeye replacement policy (CRC2-winning configuration shape)."""
 
     name = "hawkeye"
+    kernel_by_name_only = True
 
     def __init__(
         self,
@@ -80,6 +81,17 @@ class HawkeyePolicy(ReplacementPolicy):
         # scores the prediction made when the line was inserted.
         self.prediction_checks = 0
         self.prediction_correct = 0
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "hawkeye", {
+            "table_bits": self.predictor.table_bits,
+            "counter_max": self.predictor.counter_max,
+            "num_sampled_sets": self.num_sampled_sets,
+            "window_factor": self.window_factor,
+        }
+
+    def predict(self, pc: int, address: int, core: int) -> dict:
+        return {"friendly": bool(self.predictor.predict_friendly(pc))}
 
     def attach(self, cache) -> None:
         super().attach(cache)

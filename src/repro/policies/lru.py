@@ -13,6 +13,9 @@ class LRUPolicy(ReplacementPolicy):
 
     name = "lru"
 
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "lru", {}
+
     def victim(
         self, set_index: int, request: CacheRequest, ways: Sequence[CacheLine]
     ) -> int:
@@ -36,6 +39,9 @@ class MRUPolicy(ReplacementPolicy):
     """
 
     name = "mru"
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "mru", {}
 
     def victim(
         self, set_index: int, request: CacheRequest, ways: Sequence[CacheLine]

@@ -140,6 +140,7 @@ class MPPPBPolicy(ReplacementPolicy):
     """MPPPB LLC policy: multiperspective perceptron + graded insertion."""
 
     name = "mpppb"
+    kernel_by_name_only = True
 
     def __init__(
         self,
@@ -167,6 +168,25 @@ class MPPPBPolicy(ReplacementPolicy):
         self._sampler: list[list[_SamplerEntry]] = []
         self._sampled_sets: dict[int, int] = {}
         self._clock = 0
+
+    def fast_kernel(self) -> tuple[str, dict] | None:
+        predictor = self.predictor
+        # The kernel fixes the history at 8 PCs and the weights at int8.
+        if (
+            self.history.maxlen != 8
+            or predictor.weight_min != -128
+            or predictor.weight_max != 127
+        ):
+            return None
+        return "mpppb", {
+            "table_bits": predictor.table_bits,
+            "theta": predictor.theta,
+            "max_rrpv": self.max_rrpv,
+            "num_sampler_sets": self.num_sampler_sets,
+            "sampler_assoc": self.sampler_assoc,
+            "bypass_threshold": self.bypass_threshold,
+            "dead_threshold": self.dead_threshold,
+        }
 
     def attach(self, cache) -> None:
         super().attach(cache)

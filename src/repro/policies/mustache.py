@@ -134,7 +134,7 @@ class MustachePolicy(ReplacementPolicy):
         return [first + i * gap for i in range(steps)]
 
     # -- serve-facing prediction ---------------------------------------------
-    def predict_reuse(self, pc: int, address: int) -> dict:
+    def predict(self, pc: int, address: int, core: int) -> dict:
         """Multi-step reuse prediction for the serve decision endpoints."""
         set_index = self.cache.set_index(address) if self.cache is not None else 0
         state = self._state(set_index)

@@ -20,6 +20,10 @@ class RandomPolicy(ReplacementPolicy):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
+    def fast_kernel(self) -> tuple[str, dict]:
+        # The kernel replays the draws of a fresh RNG from this seed.
+        return "random", {"seed": self._seed}
+
     def victim(
         self, set_index: int, request: CacheRequest, ways: Sequence[CacheLine]
     ) -> int:

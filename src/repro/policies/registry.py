@@ -19,6 +19,9 @@ from .rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 from .sdbp import SDBPPolicy
 from .ship import SHiPPlusPlusPolicy, SHiPPolicy
 
+#: Registration order is the order of the derived
+#: ``fastsim.FAST_PATH_POLICIES`` / ``REFERENCE_ONLY_POLICIES``, which
+#: seeded corpus entries record.
 _FACTORIES: dict[str, Callable[[], ReplacementPolicy]] = {
     "lru": LRUPolicy,
     "mru": MRUPolicy,
@@ -30,9 +33,9 @@ _FACTORIES: dict[str, Callable[[], ReplacementPolicy]] = {
     "ship++": SHiPPlusPlusPolicy,
     "sdbp": SDBPPolicy,
     "perceptron": PerceptronPolicy,
-    "mpppb": MPPPBPolicy,
     "hawkeye": HawkeyePolicy,
     "glider": lambda: GliderPolicy(GliderConfig()),
+    "mpppb": MPPPBPolicy,
     "frd": FRDPolicy,
     "mustache": MustachePolicy,
     "deap": DEAPPolicy,

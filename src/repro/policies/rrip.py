@@ -44,6 +44,9 @@ class SRRIPPolicy(ReplacementPolicy):
             raise ValueError("RRIP needs at least 1 bit")
         self.max_rrpv = (1 << bits) - 1
 
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "rrip", {"max_rrpv": self.max_rrpv, "long_prob": None, "seed": 0}
+
     def on_hit(self, set_index: int, way: int, request: CacheRequest) -> None:
         self.cache.sets[set_index][way].policy_state[RRPV_KEY] = 0
 
@@ -75,6 +78,13 @@ class BRRIPPolicy(SRRIPPolicy):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "rrip", {
+            "max_rrpv": self.max_rrpv,
+            "long_prob": self.long_probability,
+            "seed": self._seed,
+        }
+
     def insertion_rrpv(self, set_index: int, request: CacheRequest) -> int:
         if self._rng.random() < self.long_probability:
             return self.max_rrpv - 1
@@ -93,6 +103,7 @@ class DRRIPPolicy(SRRIPPolicy):
     """
 
     name = "drrip"
+    kernel_by_name_only = True
 
     def __init__(
         self,
@@ -111,6 +122,15 @@ class DRRIPPolicy(SRRIPPolicy):
         self._rng = np.random.default_rng(seed)
         self._srrip_leaders: set[int] = set()
         self._brrip_leaders: set[int] = set()
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "drrip", {
+            "max_rrpv": self.max_rrpv,
+            "num_leader_sets": self.num_leader_sets,
+            "psel_max": self.psel_max,
+            "long_prob": self.long_probability,
+            "seed": self._seed,
+        }
 
     def attach(self, cache) -> None:
         super().attach(cache)

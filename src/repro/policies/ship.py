@@ -40,6 +40,7 @@ class SHiPPolicy(ReplacementPolicy):
     """Original SHiP-PC with set sampling over a 2-bit RRIP substrate."""
 
     name = "ship"
+    kernel_by_name_only = True
 
     def __init__(
         self,
@@ -55,6 +56,15 @@ class SHiPPolicy(ReplacementPolicy):
         self.num_sampled_sets = num_sampled_sets
         self.shct = [self.counter_max // 2] * (1 << signature_bits)
         self._sampled: set[int] = set()
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        return "ship", {
+            "plus": False,
+            "max_rrpv": self.max_rrpv,
+            "signature_bits": self.signature_bits,
+            "counter_max": self.counter_max,
+            "num_sampled_sets": self.num_sampled_sets,
+        }
 
     def attach(self, cache) -> None:
         super().attach(cache)
@@ -125,6 +135,10 @@ class SHiPPlusPlusPolicy(SHiPPolicy):
     """SHiP++: writeback-aware training and confidence-scaled insertion."""
 
     name = "ship++"
+
+    def fast_kernel(self) -> tuple[str, dict]:
+        kind, params = super().fast_kernel()
+        return kind, {**params, "plus": True}
 
     def on_hit(self, set_index: int, way: int, request: CacheRequest) -> None:
         line = self.cache.sets[set_index][way]

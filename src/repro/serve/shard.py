@@ -59,30 +59,12 @@ class ShardEngine:
 
     # -- reuse prediction -----------------------------------------------------
 
-    def _predict_friendly(self, pc: int, core: int, address: int) -> dict | None:
-        """Duck-typed reuse prediction from whatever predictor the policy has."""
-        reuse = getattr(self.policy, "predict_reuse", None)
-        if reuse is not None:  # frd family: quantized reuse-distance head
-            try:
-                return reuse(pc, address)
-            except Exception:  # noqa: BLE001 — prediction is best-effort extra
-                return None
-        predictor = getattr(self.policy, "predictor", None)
-        if predictor is not None and hasattr(predictor, "predict_friendly"):
-            return {"friendly": bool(predictor.predict_friendly(pc))}
-        isvm = getattr(self.policy, "isvm", None)
-        if isvm is not None:  # Glider: ISVM over the core's current PCHR
-            try:
-                history = tuple(self.policy._pchr(core))
-                prediction = isvm.predict(pc, history)
-                return {
-                    "friendly": bool(prediction.is_friendly),
-                    "confidence": prediction.confidence.value,
-                    "weight_sum": int(prediction.total),
-                }
-            except Exception:  # noqa: BLE001 — prediction is best-effort extra
-                return None
-        return None
+    def _predict(self, pc: int, core: int, address: int) -> dict | None:
+        """The policy's reuse prediction (:meth:`ReplacementPolicy.predict`)."""
+        try:
+            return self.policy.predict(pc, address, core)
+        except Exception:  # noqa: BLE001 — prediction is best-effort extra
+            return None
 
     # -- request handling -----------------------------------------------------
 
@@ -95,7 +77,7 @@ class ShardEngine:
                 msg["id"],
                 "predict",
                 shard=self.shard_id,
-                prediction=self._predict_friendly(pc, core, address),
+                prediction=self._predict(pc, core, address),
                 cached=self.cache.probe(address),
             )
         request = CacheRequest(
@@ -124,7 +106,7 @@ class ShardEngine:
             way=result.way,
             bypassed=result.bypassed,
             evicted=evicted,
-            prediction=self._predict_friendly(pc, core, address),
+            prediction=self._predict(pc, core, address),
         )
 
 

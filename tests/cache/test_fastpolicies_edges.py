@@ -22,7 +22,7 @@ import pytest
 
 import repro.cache.fastpolicies as fp
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import make_stream_kernel, reference_replay, replay
+from repro.cache.fastsim import _KERNELS, make_stream_kernel, reference_replay, replay
 from repro.cache.hierarchy import LLCStream
 from repro.conformance.generators import CaseSpec, generate_stream, spec_config
 from repro.optgen.sampler import OptGenSampler
@@ -37,6 +37,15 @@ def _ref(stream, config, policy):
     events: list = []
     stats = reference_replay(stream, policy, config, record=events)
     return stats, events
+
+
+def _fast(stream, config, policy):
+    """One-shot replay on the kernel that ``policy``'s class binds."""
+    kind, params = policy.fast_kernel()
+    kernel = _KERNELS[kind](config, **params)
+    events: list = []
+    kernel.feed(stream, events)
+    return kernel.finish(), events
 
 
 def _counters(stats):
@@ -104,16 +113,7 @@ def test_hawkeye_parity_under_heavy_window_wraparound():
 
     policy = HawkeyePolicy(table_bits=8, num_sampled_sets=8, window_factor=2)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_hawkeye(
-        stream,
-        config,
-        table_bits=8,
-        counter_max=7,
-        num_sampled_sets=8,
-        window_factor=2,
-        record=fast_events,
-    )
+    fast_stats, fast_events = _fast(stream, config, policy)
     assert policy.sampler.events_produced > 0, "sampler must actually train"
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
@@ -151,23 +151,7 @@ def test_glider_parity_with_saturated_isvm_weights():
         f"stream failed to saturate any ISVM weight "
         f"(max |w| = {health.max_abs_weight}); the test needs the clamp hit"
     )
-    fast_events: list = []
-    fast_stats = fp._replay_glider(
-        stream,
-        config,
-        k=glider_config.k,
-        table_bits=glider_config.table_bits,
-        weight_hash_bits=glider_config.weight_hash_bits,
-        threshold=glider_config.threshold,
-        adaptive=glider_config.adaptive_threshold,
-        adapt_interval=512,
-        num_sampled_sets=glider_config.num_sampled_sets,
-        window_factor=glider_config.window_factor,
-        tracker_ways=glider_config.tracker_ways,
-        detrain=glider_config.detrain_on_eviction,
-        confidence_insertion=glider_config.confidence_insertion,
-        record=fast_events,
-    )
+    fast_stats, fast_events = _fast(stream, config, GliderPolicy(glider_config))
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
 
@@ -190,17 +174,7 @@ def test_ship_parity_under_signature_collisions(plus):
     cls = SHiPPlusPlusPolicy if plus else SHiPPolicy
     policy = cls(signature_bits=2, num_sampled_sets=16)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_ship(
-        stream,
-        config,
-        plus=plus,
-        max_rrpv=3,
-        signature_bits=2,
-        counter_max=7,
-        num_sampled_sets=16,
-        record=fast_events,
-    )
+    fast_stats, fast_events = _fast(stream, config, policy)
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
 
@@ -232,17 +206,7 @@ def test_drrip_leader_assignment_parity_across_geometries(num_sets, assoc, leade
     config = spec_config(spec)
     policy = DRRIPPolicy(num_leader_sets=leaders, seed=0)
     ref_stats, ref_events = _ref(stream, config, policy)
-    fast_events: list = []
-    fast_stats = fp._replay_drrip(
-        stream,
-        config,
-        max_rrpv=3,
-        num_leader_sets=leaders,
-        psel_max=1023,
-        long_prob=1 / 32,
-        seed=0,
-        record=fast_events,
-    )
+    fast_stats, fast_events = _fast(stream, config, policy)
     assert fast_events == ref_events
     assert _counters(fast_stats) == _counters(ref_stats)
 

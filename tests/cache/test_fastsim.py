@@ -143,69 +143,6 @@ def test_parity_property(seed, n, line_count, wb, geometry, policy):
     verify_parity(stream, policy, _llc(*geometry))
 
 
-def _stats_tuple(stats):
-    return (stats.demand_hits, stats.demand_misses, stats.writeback_hits,
-            stats.writeback_misses, stats.bypasses, stats.evictions,
-            stats.dirty_evictions)
-
-
-def test_auto_engine_falls_back_on_runtime_parity_error(monkeypatch):
-    """A fast kernel that trips EngineParityError at runtime must cost
-    speed, not the run: engine="auto" degrades to the reference engine
-    with a warning; engine="fast" still raises."""
-    from repro.cache import fastsim
-    from repro.cache.fastsim import EngineParityError
-
-    stream = _synthetic_stream(n=800, seed=4)
-    config = _llc()
-    expected = reference_replay(stream, make_policy("lru"), config)
-
-    def broken_kernel(stream, cfg, record, **kw):
-        raise EngineParityError("self-check tripped")
-
-    monkeypatch.setitem(fastsim._KERNELS, "lru", broken_kernel)
-    with pytest.warns(RuntimeWarning, match="parity"):
-        record: list = []
-        stats = replay(stream, "lru", config, engine="auto", record=record)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-    assert len(record) == 800  # the fallback's events, not a partial mix
-    with pytest.raises(EngineParityError):
-        replay(stream, "lru", config, engine="fast")
-
-
-def test_verify_mode_cross_checks_both_engines(monkeypatch):
-    """verify=True replays on both engines and compares access-by-access:
-    a kernel that silently diverges is caught (and auto still degrades
-    gracefully instead of raising)."""
-    from repro.cache import fastsim
-    from repro.cache.fastsim import EngineParityError
-
-    stream = _synthetic_stream(n=600, seed=12)
-    config = _llc()
-    expected = reference_replay(stream, make_policy("lru"), config)
-
-    # A healthy kernel passes the cross-check silently.
-    stats = replay(stream, "lru", config, engine="auto", verify=True)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-
-    def silent_kernel(s, cfg, record, **kw):
-        # Right stats, but records no events: the cross-check must trip.
-        return reference_replay(s, make_policy("lru"), cfg)
-
-    monkeypatch.setitem(fastsim._KERNELS, "lru", silent_kernel)
-    with pytest.warns(RuntimeWarning):
-        stats = replay(stream, "lru", config, engine="auto", verify=True)
-    assert _stats_tuple(stats) == _stats_tuple(expected)
-    with pytest.raises(EngineParityError):
-        replay(stream, "lru", config, engine="fast", verify=True)
-
-
-def test_verify_requires_a_registry_name_policy():
-    stream = _synthetic_stream(n=200, seed=1)
-    with pytest.raises(ValueError):
-        replay(stream, make_policy("lru"), _llc(), engine="auto", verify=True)
-
-
 def _store_heavy_trace(n: int = 5000, seed: int = 9) -> Trace:
     rng = np.random.default_rng(seed)
     lines = rng.integers(0, 400, size=n).astype(np.uint64)

@@ -58,8 +58,8 @@ def test_run_case_counts_the_min_check():
     assert with_min.checks == 4
 
 
-def _lru_kernel(stream, cfg, record, next_use):
-    return fastsim._KERNELS["lru"](stream, cfg, record)
+def _lru_kernel(cfg, next_use):
+    return fastsim._KERNELS["lru"](cfg)
 
 
 def test_min_parity_gate_fails_on_a_wrong_kernel(monkeypatch):

@@ -119,8 +119,8 @@ class TestFRDPolicy:
         for i in range(30):
             cache.access(req(pc=i % 3, line=i % 6))
         before = pickle.dumps(policy._sets)
-        first = policy.predict_reuse(2, 6 * 64)
-        assert policy.predict_reuse(2, 6 * 64) == first
+        first = policy.predict(2, 6 * 64, 0)
+        assert policy.predict(2, 6 * 64, 0) == first
         assert pickle.dumps(policy._sets) == before
 
     def test_policy_pickles_with_state(self):
@@ -218,5 +218,5 @@ class TestDEAPPolicy:
         cache = new_cache(policy, sets=1, ways=2)
         for line in range(64):
             cache.access(req(pc=3, line=line))
-        prediction = policy.predict_reuse(3, 999 * 64 * 1)
+        prediction = policy.predict(3, 999 * 64 * 1, 0)
         assert prediction["admit"] == (prediction["bucket"] < policy.bypass_bucket)
