@@ -13,11 +13,9 @@ layer over the past hidden states (Equation 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ops import sigmoid, softmax, softmax_backward
+from .ops import softmax, softmax_backward
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -74,72 +72,96 @@ class LSTMLayer:
         h0: np.ndarray | None = None,
         c0: np.ndarray | None = None,
     ) -> tuple[np.ndarray, dict]:
-        """Run the LSTM over ``x`` of shape (B, T, D); returns H (B, T, Hd)."""
-        B, T, _ = x.shape
+        """Run the LSTM over ``x`` of shape (B, T, D); returns H (B, T, Hd).
+
+        The input projection ``x @ W_x + b`` of every step is one GEMM
+        before the time loop; the loop does only the recurrent product
+        ``h @ W_h``, one tanh over the fused gate block and the cell
+        update.  The cache holds per-step state as ``(B, T, .)`` arrays:
+        the gate activations ``[i, f, g, o]``, the cell states and their
+        tanh.
+        """
+        B, T, D = x.shape
         H = self.hidden_dim
+        # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh over the fused
+        # block yields all four gates: the i, f, o pre-activations are
+        # halved going in and mapped back by ``* scale + shift``; the g
+        # block (a plain tanh) passes through unchanged.  Halving is
+        # exact in floating point, and tanh cannot overflow.
+        scale = np.full(4 * H, 0.5)
+        scale[2 * H : 3 * H] = 1.0
+        shift = 1.0 - scale
         h = np.zeros((B, H)) if h0 is None else h0
         c = np.zeros((B, H)) if c0 is None else c0
-        hs = np.zeros((B, T, H))
-        cache: dict = {"x": x, "gates": [], "cs": [], "hs_prev": [], "cs_prev": []}
-        W_x, W_h, b = self.params["W_x"], self.params["W_h"], self.params["b"]
+        cache: dict = {"x": x, "h0": h, "c0": c}
+        xw = x.reshape(B * T, D) @ self.params["W_x"]
+        xw += self.params["b"]
+        xw *= scale
+        xw = xw.reshape(B, T, 4 * H)
+        W_h = self.params["W_h"] * scale
+        gates = np.empty((B, T, 4 * H))
+        cs = np.empty((B, T, H))
+        tanh_cs = np.empty((B, T, H))
+        hs = np.empty((B, T, H))
         for t in range(T):
-            z = x[:, t, :] @ W_x + h @ W_h + b
-            i = sigmoid(z[:, 0 * H : 1 * H])
-            f = sigmoid(z[:, 1 * H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = sigmoid(z[:, 3 * H : 4 * H])
-            cache["hs_prev"].append(h)
-            cache["cs_prev"].append(c)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            cache["gates"].append((i, f, g, o))
-            cache["cs"].append(c)
-            hs[:, t, :] = h
-        cache["hs"] = hs
+            gate = np.tanh(xw[:, t] + h @ W_h)
+            gate *= scale
+            gate += shift
+            c = gate[:, H : 2 * H] * c + gate[:, :H] * gate[:, 2 * H : 3 * H]
+            tanh_c = np.tanh(c)
+            h = gate[:, 3 * H :] * tanh_c
+            gates[:, t] = gate
+            cs[:, t] = c
+            tanh_cs[:, t] = tanh_c
+            hs[:, t] = h
+        cache.update(gates=gates, cs=cs, tanh_cs=tanh_cs, hs=hs)
         return hs, cache
 
     def backward(
         self, grad_hs: np.ndarray, cache: dict
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """BPTT; ``grad_hs`` is dLoss/dH with shape (B, T, Hd)."""
-        x = cache["x"]
-        B, T, _ = x.shape
+        """BPTT; ``grad_hs`` is dLoss/dH with shape (B, T, Hd).
+
+        Everything that does not depend on the recurrence is vectorised
+        over time: the local gate derivatives before the loop, and the
+        weight, bias and input gradients as single GEMMs after it.  The
+        loop carries only ``dh``/``dc`` back through ``W_h`` and ``f``.
+        """
+        x, gates, tanh_cs = cache["x"], cache["gates"], cache["tanh_cs"]
+        B, T, D = x.shape
         H = self.hidden_dim
-        W_x, W_h = self.params["W_x"], self.params["W_h"]
-        dW_x = np.zeros_like(W_x)
-        dW_h = np.zeros_like(W_h)
-        db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
+        gate4 = gates.reshape(B, T, 4, H)
+        i, f, g, o = (gate4[:, :, k] for k in range(4))
+        c_prev = np.concatenate([cache["c0"][:, None], cache["cs"][:, :-1]], axis=1)
+        # Per step, the gate pre-activation gradient is
+        # dz = [dc, dc, dc, dh] * local, where ``local`` is the rest of
+        # each block's chain rule.  ``dz`` starts out holding ``local``
+        # for all steps at once; step t multiplies in its dc and dh.
+        dz = (gates * (1.0 - gates)).reshape(B, T, 4, H)  # sigmoid'
+        dz[:, :, 0] *= g  # input gate: dc * g
+        dz[:, :, 1] *= c_prev  # forget gate: dc * c_prev
+        dz[:, :, 2] = i * (1.0 - g * g)  # candidate: dc * i * tanh'
+        dz[:, :, 3] *= tanh_cs  # output gate: dh * tanh(c)
+        dc_from_h = o * (1.0 - tanh_cs * tanh_cs)
+        W_hT = self.params["W_h"].T
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            i, f, g, o = cache["gates"][t]
-            c = cache["cs"][t]
-            c_prev = cache["cs_prev"][t]
-            h_prev = cache["hs_prev"][t]
-            dh = grad_hs[:, t, :] + dh_next
-            tanh_c = np.tanh(c)
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dW_x += x[:, t, :].T @ dz
-            dW_h += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ W_x.T
-            dh_next = dz @ W_h.T
-        return dx, {"W_x": dW_x, "W_h": dW_h, "b": db}
+            dh = grad_hs[:, t] + dh_next
+            dc = dh * dc_from_h[:, t] + dc_next
+            dz[:, t, :3] *= dc[:, None]
+            dz[:, t, 3] *= dh
+            dc_next = dc * f[:, t]
+            dh_next = dz[:, t].reshape(B, 4 * H) @ W_hT
+        dz_flat = dz.reshape(B * T, 4 * H)
+        h_prev = np.concatenate([cache["h0"][:, None], cache["hs"][:, :-1]], axis=1)
+        grads = {
+            "W_x": x.reshape(B * T, D).T @ dz_flat,
+            "W_h": h_prev.reshape(B * T, H).T @ dz_flat,
+            "b": dz_flat.sum(axis=0),
+        }
+        dx = (dz_flat @ self.params["W_x"].T).reshape(B, T, D)
+        return dx, grads
 
 
 class ScaledDotAttention:
@@ -161,13 +183,13 @@ class ScaledDotAttention:
 
     def forward(self, hs: np.ndarray) -> tuple[np.ndarray, dict]:
         """``hs``: (B, T, H) hidden states; returns contexts (B, T, H)."""
-        B, T, H = hs.shape
-        scores = self.scale * np.einsum("bth,bsh->bts", hs, hs)
+        T = hs.shape[1]
+        scores = self.scale * (hs @ hs.transpose(0, 2, 1))
         # Causal mask: target t may only attend to sources s < t.
         mask = np.tril(np.ones((T, T), dtype=bool), k=-1)
-        scores = np.where(mask[None, :, :], scores, -np.inf)
+        scores = np.where(mask, scores, -np.inf)
         weights = softmax(scores, axis=-1)  # row 0 comes out all-zero
-        contexts = np.einsum("bts,bsh->bth", weights, hs)
+        contexts = weights @ hs
         return contexts, {"hs": hs, "weights": weights}
 
     def backward(
@@ -176,13 +198,13 @@ class ScaledDotAttention:
         hs = cache["hs"]
         weights = cache["weights"]
         # contexts = A @ hs  (per batch)
-        d_weights = np.einsum("bth,bsh->bts", grad_contexts, hs)
-        d_hs = np.einsum("bts,bth->bsh", weights, grad_contexts)
+        d_weights = grad_contexts @ hs.transpose(0, 2, 1)
+        d_hs = weights.transpose(0, 2, 1) @ grad_contexts
         d_scores = softmax_backward(weights, d_weights)
         # scores = scale * hs hs^T (masked): masked entries have weight 0
-        # and d_scores 0 by construction of softmax_backward.
-        d_hs += self.scale * np.einsum("bts,bsh->bth", d_scores, hs)
-        d_hs += self.scale * np.einsum("bts,bth->bsh", d_scores, hs)
+        # and d_scores 0 by construction of softmax_backward.  hs enters
+        # both sides of the product, so its gradient is (dS + dS^T) hs.
+        d_hs += self.scale * ((d_scores + d_scores.transpose(0, 2, 1)) @ hs)
         return d_hs, {}
 
     def attention_weights(self, hs: np.ndarray) -> np.ndarray:

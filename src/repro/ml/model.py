@@ -11,7 +11,7 @@ and record the deviation in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,30 +136,45 @@ class AttentionLSTM:
         return grads
 
     # -- training/evaluation ---------------------------------------------------------
-    def train_batch(self, batch: SequenceBatch) -> float:
+    def batch_gradients(
+        self, batch: SequenceBatch
+    ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+        """Forward, masked BCE and backward for one batch.
+
+        Returns ``(loss, logits, grads)``; the parameters are untouched
+        until :meth:`apply_gradients`.
+        """
         logits, cache = self.forward(batch.inputs)
         loss, grad = binary_cross_entropy_with_logits(
             logits, batch.targets, batch.mask
         )
-        grads = self.backward(grad, cache)
+        return loss, logits, self.backward(grad, cache)
+
+    def apply_gradients(self, grads: dict[str, np.ndarray]) -> None:
+        """Clip ``grads`` to the configured global norm, then take an Adam step."""
         clip_gradients(grads, self.config.grad_clip)
         self.optimizer.step(grads)
-        return loss
+
+    def train_batch(self, batch: SequenceBatch) -> tuple[float, np.ndarray]:
+        """One optimiser step; returns the batch loss and the logits the
+        step was computed from (the pre-update predictions)."""
+        loss, logits, grads = self.batch_gradients(batch)
+        self.apply_gradients(grads)
+        return loss, logits
 
     def train_epoch(
         self, dataset: SequenceDataset, epoch: int = 0, rng: np.random.Generator | None = None
     ) -> EpochResult:
+        """One pass over ``dataset``; accuracy is measured on each batch
+        before its update, from the same forward pass the update uses."""
         rng = rng or np.random.default_rng(self.config.seed + epoch + 1)
         losses: list[float] = []
         correct = 0
         total = 0
         for batch in dataset.batches(self.config.batch_size, rng):
-            logits, _ = self.forward(batch.inputs)
-            predictions = logits >= 0.0
-            labelled = batch.mask > 0
-            correct += int(np.sum((predictions == (batch.targets > 0.5)) & labelled))
-            total += int(np.sum(labelled))
-            losses.append(self.train_batch(batch))
+            loss, logits = self.train_batch(batch)
+            correct, total = _tally(logits, batch, correct, total)
+            losses.append(loss)
         return EpochResult(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else 0.0,
@@ -177,10 +192,7 @@ class AttentionLSTM:
         total = 0
         for batch in dataset.batches(self.config.batch_size):
             logits, _ = self.forward(batch.inputs)
-            predictions = logits >= 0.0
-            labelled = batch.mask > 0
-            correct += int(np.sum((predictions == (batch.targets > 0.5)) & labelled))
-            total += int(np.sum(labelled))
+            correct, total = _tally(logits, batch, correct, total)
         return correct / max(1, total)
 
     def attention_weights(self, inputs: np.ndarray) -> np.ndarray:
@@ -193,3 +205,12 @@ class AttentionLSTM:
     def set_attention_scale(self, scale: float) -> None:
         """Change the scaling factor f (the Figure 4 sweep knob)."""
         self.attention.scale = scale
+
+
+def _tally(
+    logits: np.ndarray, batch: SequenceBatch, correct: int, total: int
+) -> tuple[int, int]:
+    """Add one batch's masked hits and labelled positions to the counts."""
+    labelled = batch.mask > 0
+    correct += int(np.sum(((logits >= 0.0) == (batch.targets > 0.5)) & labelled))
+    return correct, total + int(np.sum(labelled))

@@ -12,13 +12,14 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable logistic function.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow: non-negative
+    inputs take ``1 / (1 + e^-x)`` and negative ones ``e^x / (1 + e^x)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    exp_neg = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, exp_neg) / (1.0 + exp_neg)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.features import PCHistoryRegister
 from .dataset import LabelledTrace
 
 
@@ -76,21 +75,36 @@ class OfflineISVM:
 
     # -- passes over a labelled trace ----------------------------------------
     def _scan(self, data: LabelledTrace, train: bool) -> tuple[int, int, int]:
-        """One pass; returns (correct, total, updates)."""
-        register = PCHistoryRegister(self.k)
+        """One pass; returns (correct, total, updates).
+
+        The flat form of ``predict`` then ``_update`` per access, with
+        the history held the way
+        :class:`~repro.core.features.PCHistoryRegister` holds it
+        (unique PCs, most recent first): each access is scored once and
+        updated from that score, touching the same table keys.
+        """
+        k, threshold = self.k, self.threshold
+        weights, bias = self.weights, self.bias
+        history: list[int] = []
         correct = 0
         updates = 0
-        pcs, labels = data.pcs, data.labels
-        for i in range(len(pcs)):
-            pc = int(pcs[i])
-            label = bool(labels[i])
-            history = register.snapshot()
-            if self.predict(pc, history) == label:
+        for pc, label in zip(data.pcs.tolist(), data.labels.astype(bool).tolist()):
+            entry = weights[pc]
+            score = bias[pc] + sum(map(entry.__getitem__, history))
+            if (score >= 0) == label:
                 correct += 1
-            if train and self._update(pc, history, label):
+            if train and (score <= threshold if label else score >= -threshold):
+                delta = 1 if label else -1
+                for h in history:
+                    entry[h] += delta
+                bias[pc] += delta
                 updates += 1
-            register.insert(pc)
-        return correct, len(pcs), updates
+            if pc in history:
+                history.remove(pc)
+            history.insert(0, pc)
+            if len(history) > k:
+                history.pop()
+        return correct, len(data.pcs), updates
 
     def fit_epoch(self, train_data: LabelledTrace, epoch: int = 0) -> LinearEpochResult:
         correct, total, updates = self._scan(train_data, train=True)
@@ -136,28 +150,30 @@ class OrderedHistorySVM:
         return self._score(self._features(pc, history)) >= 0
 
     def _scan(self, data: LabelledTrace, train: bool) -> tuple[int, int, int]:
+        """One pass; returns (correct, total, updates).
+
+        Builds the same features as :meth:`_features` inline and scores
+        each access once.
+        """
+        threshold = self.threshold
+        weights = self.weights
+        lookup = weights.__getitem__
         history: deque[int] = deque(maxlen=self.history_length)
         correct = 0
         updates = 0
-        pcs, labels = data.pcs, data.labels
-        for i in range(len(pcs)):
-            pc = int(pcs[i])
-            label = bool(labels[i])
-            features = self._features(pc, tuple(history))
-            score = self._score(features)
+        for pc, label in zip(data.pcs.tolist(), data.labels.astype(bool).tolist()):
+            features = [("pc", pc)]
+            features += [("hist", pc, pos, past) for pos, past in enumerate(history)]
+            score = sum(map(lookup, features))
             if (score >= 0) == label:
                 correct += 1
-            if train:
-                if not (
-                    (label and score > self.threshold)
-                    or (not label and score < -self.threshold)
-                ):
-                    delta = 1 if label else -1
-                    for f in features:
-                        self.weights[f] += delta
-                    updates += 1
+            if train and (score <= threshold if label else score >= -threshold):
+                delta = 1 if label else -1
+                for f in features:
+                    weights[f] += delta
+                updates += 1
             history.appendleft(pc)
-        return correct, len(pcs), updates
+        return correct, len(data.pcs), updates
 
     def fit_epoch(self, train_data: LabelledTrace, epoch: int = 0) -> LinearEpochResult:
         correct, total, updates = self._scan(train_data, train=True)

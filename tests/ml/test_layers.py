@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.ml import Embedding, Linear, LSTMLayer, ScaledDotAttention
+from repro.ml import (
+    AttentionLSTM,
+    Embedding,
+    Linear,
+    LSTMConfig,
+    LSTMLayer,
+    ScaledDotAttention,
+)
+from repro.ml.ops import (
+    binary_cross_entropy_with_logits,
+    sigmoid,
+    softmax,
+    softmax_backward,
+)
 
 
 def numerical_grad(f, array, eps=1e-6, samples=8, rng=None):
@@ -96,7 +109,10 @@ class TestLSTM:
         lstm = LSTMLayer(3, 5, np.random.default_rng(0))
         hs, cache = lstm.forward(np.zeros((2, 7, 3)))
         assert hs.shape == (2, 7, 5)
-        assert len(cache["gates"]) == 7
+        # Per-step state lives on the cache's time axis: one fused
+        # [i, f, g, o] block and one cell state per step.
+        assert cache["gates"].shape == (2, 7, 4 * 5)
+        assert cache["cs"].shape == (2, 7, 5)
 
     def test_forget_bias_initialised(self):
         lstm = LSTMLayer(3, 4, np.random.default_rng(0))
@@ -189,3 +205,184 @@ class TestAttention:
         d_hs, _ = att.backward(target, cache)
         numeric = numerical_grad(loss, hs, rng=rng, samples=10)
         assert_grad_matches(d_hs, numeric, atol=1e-4)
+
+
+# -- reference implementations -------------------------------------------------
+# The straightforward per-step LSTM and einsum attention the layers were
+# first written as.  The production layers hoist work out of the time
+# loop and use batched matmul; these oracles pin them to the same math.
+
+
+def reference_lstm_forward(self, x, h0=None, c0=None):
+    B, T, _ = x.shape
+    H = self.hidden_dim
+    h = np.zeros((B, H)) if h0 is None else h0
+    c = np.zeros((B, H)) if c0 is None else c0
+    hs = np.zeros((B, T, H))
+    cache = {"x": x, "gates": [], "cs": [], "hs_prev": [], "cs_prev": []}
+    W_x, W_h, b = self.params["W_x"], self.params["W_h"], self.params["b"]
+    for t in range(T):
+        z = x[:, t, :] @ W_x + h @ W_h + b
+        i = sigmoid(z[:, 0 * H : 1 * H])
+        f = sigmoid(z[:, 1 * H : 2 * H])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = sigmoid(z[:, 3 * H : 4 * H])
+        cache["hs_prev"].append(h)
+        cache["cs_prev"].append(c)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        cache["gates"].append((i, f, g, o))
+        cache["cs"].append(c)
+        hs[:, t, :] = h
+    return hs, cache
+
+
+def reference_lstm_backward(self, grad_hs, cache):
+    x = cache["x"]
+    B, T, _ = x.shape
+    H = self.hidden_dim
+    W_x, W_h = self.params["W_x"], self.params["W_h"]
+    dW_x = np.zeros_like(W_x)
+    dW_h = np.zeros_like(W_h)
+    db = np.zeros_like(self.params["b"])
+    dx = np.zeros_like(x)
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = cache["gates"][t]
+        c = cache["cs"][t]
+        c_prev = cache["cs_prev"][t]
+        h_prev = cache["hs_prev"][t]
+        dh = grad_hs[:, t, :] + dh_next
+        tanh_c = np.tanh(c)
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g**2), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dW_x += x[:, t, :].T @ dz
+        dW_h += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ W_x.T
+        dh_next = dz @ W_h.T
+    return dx, {"W_x": dW_x, "W_h": dW_h, "b": db}
+
+
+def reference_attention_forward(self, hs):
+    T = hs.shape[1]
+    scores = self.scale * np.einsum("bth,bsh->bts", hs, hs)
+    mask = np.tril(np.ones((T, T), dtype=bool), k=-1)
+    scores = np.where(mask[None, :, :], scores, -np.inf)
+    weights = softmax(scores, axis=-1)
+    contexts = np.einsum("bts,bsh->bth", weights, hs)
+    return contexts, {"hs": hs, "weights": weights}
+
+
+def reference_attention_backward(self, grad_contexts, cache):
+    hs = cache["hs"]
+    weights = cache["weights"]
+    d_weights = np.einsum("bth,bsh->bts", grad_contexts, hs)
+    d_hs = np.einsum("bts,bth->bsh", weights, grad_contexts)
+    d_scores = softmax_backward(weights, d_weights)
+    d_hs += self.scale * np.einsum("bts,bsh->bth", d_scores, hs)
+    d_hs += self.scale * np.einsum("bts,bth->bsh", d_scores, hs)
+    return d_hs, {}
+
+
+ORACLE_TOL = 1e-10
+
+
+def assert_close(actual, expected, what):
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=ORACLE_TOL, err_msg=what)
+
+
+class TestLSTMOracle:
+    """The time-hoisted LSTM equals the per-step reference to 1e-10."""
+
+    @pytest.mark.parametrize(
+        "B,T,D,H,with_state",
+        [
+            (3, 6, 4, 5, False),
+            (1, 7, 3, 4, False),  # single sequence
+            (4, 1, 3, 4, False),  # single step
+            (1, 1, 2, 3, True),
+            (2, 5, 3, 4, True),  # non-zero initial h0 and c0
+        ],
+    )
+    def test_matches_per_step_reference(self, B, T, D, H, with_state):
+        rng = np.random.default_rng(B * 100 + T * 10 + D + H)
+        lstm = LSTMLayer(D, H, rng)
+        x = rng.normal(size=(B, T, D))
+        grad_hs = rng.normal(size=(B, T, H))
+        state = {}
+        if with_state:
+            state = {"h0": np.tanh(rng.normal(size=(B, H))), "c0": rng.normal(size=(B, H))}
+
+        hs, cache = lstm.forward(x, **state)
+        dx, grads = lstm.backward(grad_hs, cache)
+        ref_hs, ref_cache = reference_lstm_forward(lstm, x, **state)
+        ref_dx, ref_grads = reference_lstm_backward(lstm, grad_hs, ref_cache)
+
+        assert_close(hs, ref_hs, "hs")
+        assert_close(dx, ref_dx, "dx")
+        assert grads.keys() == ref_grads.keys() == lstm.params.keys()
+        for name in ref_grads:
+            assert grads[name].shape == lstm.params[name].shape
+            assert_close(grads[name], ref_grads[name], name)
+
+
+class TestAttentionOracle:
+    """Matmul attention equals the einsum reference to 1e-10."""
+
+    @pytest.mark.parametrize("B,T,H,scale", [(2, 6, 4, 1.0), (1, 5, 3, 5.0), (3, 1, 4, 2.0)])
+    def test_matches_einsum_reference(self, B, T, H, scale):
+        rng = np.random.default_rng(B + T + H)
+        att = ScaledDotAttention(scale=scale)
+        hs = rng.normal(size=(B, T, H))
+        grad = rng.normal(size=(B, T, H))
+
+        contexts, cache = att.forward(hs)
+        d_hs, _ = att.backward(grad, cache)
+        ref_contexts, ref_cache = reference_attention_forward(att, hs)
+        ref_d_hs, _ = reference_attention_backward(att, grad, ref_cache)
+
+        assert_close(contexts, ref_contexts, "contexts")
+        assert_close(cache["weights"], ref_cache["weights"], "weights")
+        assert_close(d_hs, ref_d_hs, "d_hs")
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_model_gradients_match_reference_layers(num_layers, monkeypatch):
+    """Whole-model logits and every parameter gradient, new vs reference."""
+    config = LSTMConfig(
+        vocab_size=7, embedding_dim=5, hidden_dim=6, num_layers=num_layers,
+        attention_scale=2.0, history=3, seed=num_layers,
+    )
+    rng = np.random.default_rng(11)
+    inputs = rng.integers(0, 7, size=(3, 6))
+    targets = rng.integers(0, 2, size=(3, 6)).astype(np.float64)
+    mask = np.tile([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], (3, 1))
+
+    def logits_and_grads():
+        model = AttentionLSTM(config)
+        logits, cache = model.forward(inputs)
+        _, grad = binary_cross_entropy_with_logits(logits, targets, mask)
+        return logits, model.backward(grad, cache)
+
+    logits, grads = logits_and_grads()
+    monkeypatch.setattr(LSTMLayer, "forward", reference_lstm_forward)
+    monkeypatch.setattr(LSTMLayer, "backward", reference_lstm_backward)
+    monkeypatch.setattr(ScaledDotAttention, "forward", reference_attention_forward)
+    monkeypatch.setattr(ScaledDotAttention, "backward", reference_attention_backward)
+    ref_logits, ref_grads = logits_and_grads()
+
+    assert_close(logits, ref_logits, "logits")
+    assert grads.keys() == ref_grads.keys()
+    assert sum(name.startswith("lstm") for name in grads) == 3 * num_layers
+    for name in ref_grads:
+        assert_close(grads[name], ref_grads[name], name)
