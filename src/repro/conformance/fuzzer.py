@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..obs import metrics as obs_metrics
-from ..perf.parallel import parallel_map, task_seed
-from ..robust.supervise import SuperviseConfig
+from ..perf.parallel import parallel_map
+from ..robust.supervise import SuperviseConfig, task_seed
 from .differential import Divergence, default_policies, run_case
 from .generators import GENERATOR_FAMILIES, CaseSpec, generate_stream, spec_config
 from .shrink import ShrinkResult, failure_predicate, shrink_stream

@@ -22,9 +22,10 @@ once).  ``--task-timeout`` puts a wall-clock deadline on each task,
 ``--max-pool-restarts`` bounds pool recycling after worker crashes, and
 ``--no-degrade`` turns the sequential fallback into a hard error; a
 crash journal (JSONL) lands next to the resume manifest.  The
-``bench`` subcommand times the filter/replay (every fast-path policy
-plus Belady-MIN)/matrix stages on both simulation engines and writes ``BENCH_sim.json`` (``--quick`` for the
-CI smoke variant, ``--out`` to choose the path).
+``bench`` subcommand times the filter and replay (every fast-path
+policy plus Belady-MIN) stages on both simulation engines, plus the
+decision-telemetry overhead, and writes ``BENCH_sim.json`` (``--quick``
+for the CI smoke variant, ``--out`` to choose the path).
 
 Observability: ``--metrics-out PATH`` writes a schema-tagged metrics
 snapshot after the run (``-`` prints JSON on stdout, with all human
@@ -397,9 +398,7 @@ def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, rep
     elif args.experiment == "bench":
         from ..perf.bench import run_bench
 
-        report = run_bench(
-            jobs=max(2, args.jobs), quick=args.quick, out=args.out
-        )
+        report = run_bench(quick=args.quick, out=args.out)
         emit(f"bench report -> {args.out}")
         emit(f"filter speedup: {report['filter']['speedup']:.1f}x")
         for policy, entry in [*report["replay"].items(), ("min", report["min"])]:
@@ -408,10 +407,6 @@ def _dispatch(args, config, cache, subset, supervise, journal, runner, emit, rep
                 f"({entry['reference_accesses_per_s']:,.0f} -> "
                 f"{entry['fast_accesses_per_s']:,.0f} accesses/s)"
             )
-        emit(
-            f"matrix jobs={report['matrix']['jobs']}: "
-            f"{report['matrix']['speedup']:.2f}x vs sequential"
-        )
 
     if runner is not None and runner.last_report is not None:
         report = runner.last_report

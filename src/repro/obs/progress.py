@@ -30,9 +30,11 @@ def _fmt_seconds(seconds: float) -> str:
 class ProgressReporter:
     """Callable counting completions: ``reporter(task_id_or_outcome)``.
 
-    Accepts whatever the pipeline hands it — a task-id string, a
-    ``TaskOutcome``-like object (uses its ``task_id``/``status``), or
-    ``None`` — and renders ``[done/total] id status (elapsed, eta ...)``.
+    Accepts whatever the pipeline hands it — a task-id string or
+    ``None`` (``parallel_map``'s in-process loop), a ``TaskOutcome``-like
+    object (the supervisor, which runs every ``RobustSuiteRunner`` suite
+    at any ``jobs``; uses its ``task_id``/``status``) — and renders
+    ``[done/total] id status (elapsed, eta ...)``.
     """
 
     def __init__(

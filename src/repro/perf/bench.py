@@ -12,10 +12,7 @@ the speedup claims in EXPERIMENTS.md stay tied to measurements:
   engine;
 * **insight** — decision-telemetry overhead for the learned policies:
   the disabled recorder hook vs a live sampled recorder (CI gates the
-  disabled path at <= 2% of replay throughput);
-* **matrix** — a Figure 11-style (benchmark x policy) grid end-to-end,
-  sequentially and with ``--jobs N`` workers (demand miss rates
-  asserted bit-identical across the two runs).
+  disabled path at <= 2% of replay throughput).
 
 Every timing is the **best of ``repeats``** wall-clock measurements
 (minimum is the standard estimator for "how fast can this go" because
@@ -26,8 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -39,7 +34,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..policies.belady_policy import BeladyPolicy
 from ..traces.io import atomic_write_text
-from .parallel import parallel_map, run_matrix
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -51,40 +45,9 @@ __all__ = [
 #: Schema identifier stamped into every BENCH_sim.json.
 BENCH_SCHEMA = "repro.perf.bench/v1"
 
-#: Figure 11-style grid used for the end-to-end stage.
-_MATRIX_BENCHMARKS = ("mcf", "omnetpp", "lbm")
-_MATRIX_POLICIES = ("lru", "srrip", "hawkeye")
-
 #: Learned policies with decision-telemetry hooks, timed in the insight
 #: stage (disabled-path vs sampled-recorder overhead).
 _INSIGHT_POLICIES = ("hawkeye", "glider")
-
-
-def _noop_task(args):
-    """Zero-work task: times pool spawn + IPC dispatch, nothing else."""
-    return args
-
-
-def _matrix_notes(seq_s, par_s, dispatch_s, payload_bytes, jobs) -> list[str]:
-    """Explain where the parallel matrix wall-clock goes, honestly."""
-    cores = os.cpu_count() or 1
-    notes = [
-        f"each task pickles {payload_bytes} B: (benchmark, policies, config, "
-        "store path, engine) — workers load LLC streams from the shared "
-        "store; traces are never pickled across the pool boundary",
-        f"dispatching an identically-shaped zero-work grid (jobs={jobs}) "
-        f"costs {dispatch_s:.3f}s of pool spawn + IPC against {seq_s:.3f}s "
-        "of sequential compute",
-    ]
-    if cores < 2:
-        speedup = seq_s / par_s if par_s > 0 else float("inf")
-        notes.append(
-            f"host has {cores} CPU core(s): {jobs} workers time-slice one "
-            "core, so the best possible parallel time IS the sequential "
-            f"time and the measured {speedup:.2f}x is compute plus the "
-            "dispatch overhead above, not a pickling or scheduling bug"
-        )
-    return notes
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -125,12 +88,11 @@ def run_bench(
     config=None,
     *,
     benchmark: str = "mcf",
-    jobs: int = 2,
     repeats: int = 3,
     quick: bool = False,
     out: str | Path | None = "BENCH_sim.json",
 ) -> dict:
-    """Run the three-stage perf benchmark; returns (and writes) the report.
+    """Run every bench stage; returns (and writes) the report.
 
     ``quick`` shrinks the trace and drops to one repeat so the whole run
     fits in a CI smoke job; the schema of the report is identical.
@@ -267,57 +229,6 @@ def run_bench(
             "sampled_overhead_pct": (on_s / off_s - 1.0) * 100.0,
         }
 
-    # -- stage 4: end-to-end matrix, sequential vs --jobs --------------------
-    # One store for the whole stage: streams are materialized once, so
-    # both timings measure replay scheduling, not trace regeneration.
-    with tempfile.TemporaryDirectory(prefix="repro-bench-matrix-") as matrix_store:
-        warm = ArtifactCache(config, store=matrix_store)
-        for bench_name in _MATRIX_BENCHMARKS:
-            warm.llc_stream(bench_name)
-        seq_s, seq_matrix = _best_of(
-            lambda: run_matrix(
-                _MATRIX_BENCHMARKS, _MATRIX_POLICIES, config, jobs=1,
-                store=matrix_store,
-            ),
-            1,
-        )
-        par_s, par_matrix = _best_of(
-            lambda: run_matrix(
-                _MATRIX_BENCHMARKS, _MATRIX_POLICIES, config, jobs=jobs,
-                store=matrix_store,
-            ),
-            1,
-        )
-        # Profile where the parallel wall-clock goes: the pure dispatch
-        # cost of an identically-shaped zero-work grid, and the bytes a
-        # task actually pickles (the store travels by path, the streams
-        # never cross the pool boundary).
-        dispatch_s, _ = _best_of(
-            lambda: parallel_map(
-                _noop_task, range(len(_MATRIX_BENCHMARKS)), jobs=jobs
-            ),
-            1,
-        )
-        task_payload_bytes = len(
-            pickle.dumps(
-                (_MATRIX_BENCHMARKS[0], _MATRIX_POLICIES, config,
-                 str(matrix_store), "auto")
-            )
-        )
-    if seq_matrix.demand_miss_rates() != par_matrix.demand_miss_rates():
-        raise AssertionError("parallel matrix diverged from sequential (bench aborted)")
-    report["matrix"] = {
-        "benchmarks": list(_MATRIX_BENCHMARKS),
-        "policies": list(_MATRIX_POLICIES),
-        "jobs": jobs,
-        "sequential_s": seq_s,
-        "parallel_s": par_s,
-        "speedup": seq_s / par_s if par_s > 0 else float("inf"),
-        "dispatch_overhead_s": dispatch_s,
-        "task_payload_bytes": task_payload_bytes,
-        "notes": _matrix_notes(seq_s, par_s, dispatch_s, task_payload_bytes, jobs),
-    }
-
     if out is not None:
         atomic_write_text(Path(out), json.dumps(report, indent=1))
     return report
@@ -360,13 +271,6 @@ def bench_to_metrics_snapshot(report: dict) -> dict:
                 registry.gauge(f"bench.insight.{field}", policy=policy).set(
                     entry[field]
                 )
-    mat = report.get("matrix", {})
-    for field in (
-        "sequential_s", "parallel_s", "speedup",
-        "dispatch_overhead_s", "task_payload_bytes",
-    ):
-        if field in mat:
-            registry.gauge(f"bench.matrix.{field}").set(mat[field])
     snapshot = registry.snapshot(
         run_id=report.get("run_id") or obs_trace.current_run_id(),
         meta={
@@ -389,7 +293,7 @@ def validate_bench(report: dict) -> list[str]:
     problems: list[str] = []
     if report.get("schema") != BENCH_SCHEMA:
         problems.append(f"schema != {BENCH_SCHEMA}")
-    for stage in ("filter", "replay", "min", "insight", "matrix"):
+    for stage in ("filter", "replay", "min", "insight"):
         if stage not in report:
             problems.append(f"missing stage {stage!r}")
     for policy, entry in report.get("insight", {}).items():
@@ -413,7 +317,4 @@ def validate_bench(report: dict) -> list[str]:
     fil = report.get("filter", {})
     if fil and not (fil.get("reference_s", 0) > 0 and fil.get("fast_s", 0) > 0):
         problems.append("non-positive filter timing")
-    mat = report.get("matrix", {})
-    if mat and not (mat.get("sequential_s", 0) > 0 and mat.get("parallel_s", 0) > 0):
-        problems.append("non-positive matrix timing")
     return problems

@@ -1,9 +1,9 @@
-"""Parallel experiment-matrix runner (``repro.perf.parallel``).
+"""Order-preserving parallel map for the experiment drivers.
 
 The paper's evaluation is a (benchmark x policy) grid — 33 workloads
-by 6+ policies in Sections 5.2-5.4 — and every cell is independent
-once the per-benchmark LLC stream exists.  This module fans that grid
-out across a :class:`~concurrent.futures.ProcessPoolExecutor`:
+by 6+ policies in Sections 5.2-5.4 — and every benchmark is
+independent once its LLC stream exists.  Each figure runs that grid as
+one per-benchmark driver mapped over the suite:
 
 * :func:`parallel_map` — order-preserving process-pool map used by the
   per-benchmark experiment drivers (``--jobs N`` on the eval CLI).
@@ -15,20 +15,10 @@ out across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   repeated pool breakage — ``BrokenProcessPool`` never escapes to the
   caller; a task that ultimately fails raises
   :class:`~repro.robust.supervise.SupervisedTaskError` instead.
-* :func:`run_matrix` — explicit grid runner returning an
-  :class:`ExperimentMatrix` of :class:`~repro.cache.stats.CacheStats`
-  per cell, at ``"benchmark"`` granularity (one task per benchmark,
-  stream computed once, every policy replayed on it) or ``"cell"``
-  granularity (one task per grid cell).  Every benchmark's LLC stream
-  is materialized *once, in the parent* into the shared
-  :class:`~repro.robust.store.ArtifactStore` (an ephemeral one is
-  created when the caller passes none) before any task is dispatched,
-  so workers load streams instead of regenerating trace + filter per
-  task; a per-worker warm cache then reuses the deserialized stream
-  across matrix cells that land on the same worker.
-* :func:`task_seed` — deterministic per-task seed derivation, so a
-  task's stochastic components depend only on its (benchmark, policy,
-  base-seed) identity, never on scheduling order or worker identity.
+* :func:`~repro.robust.supervise.task_seed` (re-exported) —
+  deterministic per-task seed derivation, so a task's stochastic
+  components depend only on its (benchmark, policy, base-seed)
+  identity, never on scheduling order or worker identity.
 
 Determinism: every worker rebuilds its state from the picklable task
 description (config + names + seeds); nothing is inherited from parent
@@ -38,33 +28,17 @@ the sequential run, in the same order.
 
 from __future__ import annotations
 
-import hashlib
-import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..cache.stats import CacheStats
 from ..robust.supervise import (
     CrashJournal,
     SupervisedTaskError,
     SuperviseConfig,
     TaskSupervisor,
+    task_seed,
 )
 
-__all__ = ["ExperimentMatrix", "parallel_map", "run_matrix", "task_seed"]
-
-
-def task_seed(*parts, base: int = 0) -> int:
-    """Derive a deterministic 63-bit seed from task identity.
-
-    ``task_seed("mcf", "brrip", base=config.seed)`` is a pure function
-    of its arguments — stable across processes, Python hash
-    randomisation, and scheduling order.
-    """
-    payload = "\x1f".join(str(part) for part in parts).encode()
-    digest = hashlib.sha256(payload).digest()
-    return (int.from_bytes(digest[:8], "little") ^ base) & (2**63 - 1)
+__all__ = ["parallel_map", "task_seed"]
 
 
 def parallel_map(
@@ -110,138 +84,3 @@ def parallel_map(
             raise SupervisedTaskError(outcome)
         results.append(outcome.result)
     return results
-
-
-# -- the (benchmark x policy) grid -------------------------------------------
-
-
-@dataclass
-class ExperimentMatrix:
-    """Replay stats for every (benchmark, policy) cell of a grid."""
-
-    benchmarks: tuple[str, ...]
-    policies: tuple[str, ...]
-    cells: dict[tuple[str, str], CacheStats] = field(default_factory=dict)
-
-    def stats(self, benchmark: str, policy: str) -> CacheStats:
-        return self.cells[(benchmark, policy)]
-
-    def demand_miss_rates(self) -> dict[tuple[str, str], float]:
-        return {key: s.demand_miss_rate for key, s in self.cells.items()}
-
-
-#: Per-worker warm cache of deserialized LLC streams, reused across
-#: matrix tasks that land on the same worker process (keyed by
-#: benchmark + config digest, capped so long grids stay bounded).
-_WARM_STREAMS: OrderedDict = OrderedDict()
-_WARM_STREAMS_CAP = 8
-
-
-def _warm_llc_stream(benchmark: str, config, store):
-    from ..eval.runner import ArtifactCache
-
-    key = (benchmark, config.digest())
-    stream = _WARM_STREAMS.get(key)
-    if stream is not None:
-        _WARM_STREAMS.move_to_end(key)
-        return stream
-    stream = ArtifactCache(config, store=store).llc_stream(benchmark)
-    _WARM_STREAMS[key] = stream
-    if len(_WARM_STREAMS) > _WARM_STREAMS_CAP:
-        _WARM_STREAMS.popitem(last=False)
-    return stream
-
-
-def _matrix_benchmark_task(args) -> tuple[str, dict[str, CacheStats]]:
-    """One benchmark: build/load its stream once, replay every policy."""
-    benchmark, policies, config, store, engine = args
-    from ..cache.fastsim import replay
-    from ..policies.belady_policy import BeladyPolicy
-
-    stream = _warm_llc_stream(benchmark, config, store)
-    hierarchy = config.hierarchy()
-    out: dict[str, CacheStats] = {}
-    for policy in policies:
-        spec = BeladyPolicy.from_stream(stream) if policy == "belady" else policy
-        out[policy] = replay(stream, spec, hierarchy, engine=engine)
-    return benchmark, out
-
-
-def _matrix_cell_task(args) -> tuple[str, dict[str, CacheStats]]:
-    """One (benchmark, policy) cell (stream via the artifact store)."""
-    benchmark, policies, config, store, engine = args
-    return _matrix_benchmark_task((benchmark, policies, config, store, engine))
-
-
-def run_matrix(
-    benchmarks: Sequence[str],
-    policies: Sequence[str],
-    config=None,
-    *,
-    jobs: int = 1,
-    store=None,
-    engine: str = "auto",
-    granularity: str = "benchmark",
-    supervise: SuperviseConfig | None = None,
-    journal: CrashJournal | str | None = None,
-    progress: Callable | None = None,
-) -> ExperimentMatrix:
-    """Replay the full (benchmark x policy) grid, optionally in parallel.
-
-    ``policies`` are registry names plus the pseudo-policy ``"belady"``
-    (the offline MIN bound, built from each benchmark's own stream).
-    ``store`` is an :class:`~repro.robust.store.ArtifactStore` (or
-    path) shared by the workers; when none is given an ephemeral one is
-    created for the run (and removed afterwards).  Either way every
-    benchmark's LLC stream is materialized into it once, in the parent,
-    before any task is dispatched — workers only ever *load* streams,
-    and per-cell tasks never recompute trace + filter, so ``"cell"``
-    granularity is safe without a caller-provided store.
-    ``supervise``/``journal`` configure the pool supervisor (see
-    :func:`parallel_map`).
-    """
-    from ..eval.runner import DEFAULT, ArtifactCache
-    from ..robust.store import ArtifactStore
-
-    config = config or DEFAULT
-    benchmarks = tuple(benchmarks)
-    policies = tuple(policies)
-    if granularity not in ("benchmark", "cell"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    ephemeral = None
-    if store is None:
-        ephemeral = tempfile.TemporaryDirectory(prefix="repro-matrix-store-")
-        store = ArtifactStore(ephemeral.name)
-    try:
-        # Shared once-per-benchmark materialization: fill the store in
-        # the parent so per-task work in the workers is pure replay.
-        parent_cache = ArtifactCache(config, store=store)
-        for benchmark in benchmarks:
-            parent_cache.llc_stream(benchmark)
-        # Ship the store by path: workers rebuild their own handle, so
-        # no lock/stats state is pickled across the pool boundary.
-        store_ref = str(parent_cache.store.root)
-        if granularity == "benchmark":
-            tasks = [(b, policies, config, store_ref, engine) for b in benchmarks]
-            worker = _matrix_benchmark_task
-            ids = [f"{b}" for b in benchmarks]
-        else:
-            tasks = [
-                (b, (p,), config, store_ref, engine)
-                for b in benchmarks
-                for p in policies
-            ]
-            worker = _matrix_cell_task
-            ids = [f"{b}/{p}" for b in benchmarks for p in policies]
-        matrix = ExperimentMatrix(benchmarks=benchmarks, policies=policies)
-        rows = parallel_map(
-            worker, tasks, jobs=jobs, supervise=supervise, journal=journal,
-            task_ids=ids, progress=progress,
-        )
-        for benchmark, stats_by_policy in rows:
-            for policy, stats in stats_by_policy.items():
-                matrix.cells[(benchmark, policy)] = stats
-        return matrix
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()

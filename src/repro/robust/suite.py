@@ -14,13 +14,14 @@ instead:
   *resume manifest*, so a second invocation skips finished work and
   recomputes only what failed (or was never reached).
 
-With ``jobs > 1`` the pool is run by a
-:class:`~repro.robust.supervise.TaskSupervisor`: workers are watched
-(per-task deadlines plus heartbeats), a broken pool is recycled and its
-survivors re-queued, poison benchmarks are quarantined, repeated
-breakage degrades the remainder to in-process sequential execution, and
-every failure lands in a crash journal next to the resume manifest — so
-a SIGKILLed or hung worker costs one benchmark, never the suite.
+Every run, whatever its ``jobs``, goes through one
+:class:`~repro.robust.supervise.TaskSupervisor`, and every failure lands
+in a crash journal next to the resume manifest.  ``jobs <= 1`` runs the
+benchmarks in-process.  With ``jobs > 1`` workers are watched (per-task
+deadlines plus heartbeats), a broken pool is recycled and its survivors
+re-queued, poison benchmarks are quarantined, and repeated breakage
+degrades the remainder to in-process execution — so a SIGKILLed or hung
+worker costs one benchmark, never the suite.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Callable, Sequence
 from ..obs import trace as obs_trace
 from ..traces.io import atomic_write_text
 from .faults import BenchmarkFaultPlan
-from .retry import DeadlineBudget, DeadlineExceeded, Retrier, RetryPolicy
+from .retry import DeadlineBudget, Retrier, RetryPolicy
 from .supervise import (
     TAXONOMY_DEADLINE,
     CrashJournal,
@@ -111,11 +112,12 @@ class SuiteReport:
 
 
 def _pool_benchmark_worker(args) -> tuple[str, str, Any, int]:
-    """One benchmark's attempts inside a worker process (module-level so
-    it pickles).  Returns (benchmark, "ok"|"fail", payload, attempts)
-    where the failure payload is an ``asdict``'d BenchmarkFailure."""
-    compute, benchmark, retry_policy, fault_plan = args
-    retrier = Retrier(retry_policy)
+    """One benchmark's attempts, in a pool worker or in-process
+    (module-level so it pickles).  Returns (benchmark, "ok"|"fail",
+    payload, attempts) where the failure payload is an ``asdict``'d
+    BenchmarkFailure."""
+    compute, benchmark, retry_policy, fault_plan, sleep, budget = args
+    retrier = Retrier(retry_policy, sleep=sleep, budget=budget)
     try:
         result = None
         for attempt in retrier:
@@ -224,119 +226,24 @@ class RobustSuiteRunner:
         results are stored as-is (they must then be JSON-serialisable
         for the manifest to be written).
 
-        With ``jobs > 1``, benchmarks run on a process pool: ``compute``
-        must then be picklable (a module-level function or a partial of
-        one), retries run inside each worker, the manifest is
-        checkpointed in the parent as results land, and the report is
-        assembled in suite order so a parallel run is indistinguishable
-        from a sequential one.
+        Benchmarks run under a :class:`TaskSupervisor` — in-process for
+        ``jobs <= 1``, on a watched process pool otherwise, where
+        ``compute`` must be picklable (a module-level function or a
+        partial of one).  Either way each benchmark's retries run inside
+        its task, and a task that raises, dies, hangs past its deadline,
+        or breaks the pool turns into a structured
+        :class:`BenchmarkFailure` (journaled) instead of aborting the
+        suite.  The deadline budget is enforced at submission; in-process
+        runs also hand it to the retry loop, so it can stop a benchmark
+        between attempts.  Work already finished when the budget runs
+        out is kept.  The manifest is checkpointed as each outcome lands,
+        and the report is assembled in suite order, so ``jobs`` never
+        changes the report.
         """
         serialize = serialize or (lambda result: result)
         deserialize = deserialize or (lambda payload: payload)
         manifest = self._load_manifest()
-        report = SuiteReport()
-        if jobs > 1:
-            return self._run_parallel(
-                benchmarks, compute, serialize, deserialize, manifest, report, jobs
-            )
-
-        for benchmark in benchmarks:
-            if benchmark in manifest["done"]:
-                report.completed[benchmark] = deserialize(manifest["done"][benchmark])
-                report.resumed.append(benchmark)
-                continue
-            if self.budget is not None and self.budget.expired:
-                report.deadline_hit = True
-                report.failures.append(
-                    BenchmarkFailure(
-                        benchmark=benchmark,
-                        error_type="DeadlineExceeded",
-                        message="suite deadline exhausted before benchmark ran",
-                        attempts=0,
-                    )
-                )
-                continue
-            retrier = Retrier(self.retry_policy, sleep=self._sleep, budget=self.budget)
-            try:
-                result = None
-                for attempt in retrier:
-                    with attempt:
-                        if self.fault_plan is not None:
-                            self.fault_plan.maybe_fail(benchmark)
-                        result = compute(benchmark)
-            except DeadlineExceeded as error:
-                report.deadline_hit = True
-                report.failures.append(
-                    BenchmarkFailure(
-                        benchmark=benchmark,
-                        error_type=type(error).__name__,
-                        message=str(error),
-                        attempts=retrier.attempts_made,
-                    )
-                )
-                continue
-            except Exception as error:  # noqa: BLE001 — degrade, don't abort
-                failure = BenchmarkFailure(
-                    benchmark=benchmark,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    attempts=retrier.attempts_made,
-                    traceback=traceback.format_exc(),
-                )
-                report.failures.append(failure)
-                manifest["failed"][benchmark] = asdict(failure)
-                self._save_manifest(manifest)
-                if self.journal is not None:
-                    self.journal.append(
-                        event="task-failed",
-                        task=benchmark,
-                        taxonomy="compute-error",
-                        error_type=failure.error_type,
-                        message=failure.message,
-                        submissions=failure.attempts,
-                    )
-                continue
-            report.completed[benchmark] = result
-            manifest["done"][benchmark] = serialize(result)
-            manifest["failed"].pop(benchmark, None)
-            self._save_manifest(manifest)
-            if self.progress is not None:
-                self.progress(benchmark)
-
-        self.last_report = report
-        return report
-
-    def _run_parallel(
-        self,
-        benchmarks: Sequence[str],
-        compute: Callable[[str], Any],
-        serialize: Callable[[Any], Any],
-        deserialize: Callable[[Any], Any],
-        manifest: dict,
-        report: SuiteReport,
-        jobs: int,
-    ) -> SuiteReport:
-        """Supervised process-pool body of :meth:`run` (jobs > 1).
-
-        Benchmarks run under a :class:`TaskSupervisor`: a worker that
-        raises, dies, hangs past its deadline, or breaks the pool turns
-        into a structured :class:`BenchmarkFailure` (journaled, with the
-        pool recycled and the survivors re-queued) instead of crashing
-        the parent mid-loop.  The deadline budget is enforced at
-        submission time; work already in flight when the budget runs out
-        completes and is kept, matching the sequential runner's "never
-        throw away finished work" rule.  The manifest is checkpointed in
-        the parent as each outcome lands, and the report is assembled in
-        suite order so a parallel run is indistinguishable from a
-        sequential one.
-        """
-        pending: list[str] = []
-        for benchmark in benchmarks:
-            if benchmark in manifest["done"]:
-                report.completed[benchmark] = deserialize(manifest["done"][benchmark])
-                report.resumed.append(benchmark)
-            else:
-                pending.append(benchmark)
+        pending = [b for b in benchmarks if b not in manifest["done"]]
         outcomes_by_benchmark: dict[str, tuple[str, Any]] = {}
 
         def on_outcome(outcome: TaskOutcome) -> None:
@@ -351,6 +258,11 @@ class RobustSuiteRunner:
             self._save_manifest(manifest)
 
         if pending:
+            # Pool workers cannot share the injected sleep or the budget's
+            # clock; they retry on wall-clock time with no budget.
+            in_process = jobs <= 1
+            sleep = self._sleep if in_process else time.sleep
+            budget = self.budget if in_process else None
             supervisor = TaskSupervisor(
                 self.supervise,
                 journal=self.journal,
@@ -359,14 +271,20 @@ class RobustSuiteRunner:
             )
             supervisor.map(
                 _pool_benchmark_worker,
-                [(compute, b, self.retry_policy, self.fault_plan) for b in pending],
+                [
+                    (compute, b, self.retry_policy, self.fault_plan, sleep, budget)
+                    for b in pending
+                ],
                 jobs=jobs,
                 task_ids=pending,
                 budget=self.budget,
                 on_outcome=on_outcome,
             )
-        for benchmark in benchmarks:  # suite order, like the sequential path
+        report = SuiteReport()
+        for benchmark in benchmarks:  # suite order, not completion order
             if benchmark not in outcomes_by_benchmark:
+                report.completed[benchmark] = deserialize(manifest["done"][benchmark])
+                report.resumed.append(benchmark)
                 continue
             status, payload = outcomes_by_benchmark[benchmark]
             if status == "ok":

@@ -76,6 +76,7 @@ __all__ = [
     "read_heartbeat",
     "start_heartbeat",
     "sweep_stale_run_dirs",
+    "task_seed",
 ]
 
 #: Prefix of the temp directories holding start markers and heartbeats.
@@ -165,10 +166,17 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def _task_seed(task_id: str) -> int:
-    """Deterministic 63-bit seed from a task id (journal repro field)."""
-    digest = hashlib.sha256(str(task_id).encode()).digest()
-    return int.from_bytes(digest[:8], "little") & (2**63 - 1)
+def task_seed(*parts, base: int = 0) -> int:
+    """Derive a deterministic 63-bit seed from task identity.
+
+    ``task_seed("mcf", "brrip", base=config.seed)`` is a pure function
+    of its arguments — stable across processes, Python hash
+    randomisation, and scheduling order.  A journal entry's ``seed`` is
+    ``task_seed(task_id)`` unless the caller supplied one.
+    """
+    payload = "\x1f".join(str(part) for part in parts).encode()
+    digest = hashlib.sha256(payload).digest()
+    return (int.from_bytes(digest[:8], "little") ^ base) & (2**63 - 1)
 
 
 def _traceback_digest(tb: str) -> str:
@@ -577,7 +585,7 @@ class TaskSupervisor:
         return ""
 
     def _seed(self, task_id: str) -> int:
-        return self._seeds.get(task_id, _task_seed(task_id))
+        return self._seeds.get(task_id, task_seed(task_id))
 
     def _journal_outcome(self, outcome: TaskOutcome) -> None:
         if self.journal is None:

@@ -65,7 +65,6 @@ class TestSummarize:
             "schema": "repro.perf.bench/v1",
             "filter": {"reference_s": 2.0, "fast_s": 1.0, "speedup": 2.0},
             "replay": {"lru": {"speedup": 30.0}},
-            "matrix": {"speedup": 1.8},
         }
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(report))

@@ -15,7 +15,7 @@ from repro.perf.bench import BENCH_SCHEMA, run_bench, validate_bench
 def report(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "BENCH_sim.json"
     config = ExperimentConfig(trace_length=6_000)
-    run_bench(config, jobs=2, quick=True, out=out)
+    run_bench(config, quick=True, out=out)
     return json.loads(out.read_text())
 
 
@@ -63,13 +63,6 @@ def test_report_records_insight_overhead(report):
         )
 
 
-def test_report_records_matrix_grid(report):
-    matrix = report["matrix"]
-    assert matrix["jobs"] >= 2
-    assert matrix["sequential_s"] > 0 and matrix["parallel_s"] > 0
-    assert set(matrix) >= {"benchmarks", "policies", "speedup"}
-
-
 def test_validate_flags_malformed_reports():
     assert "schema != " + BENCH_SCHEMA in validate_bench({})[0]
     broken = {
@@ -77,7 +70,6 @@ def test_validate_flags_malformed_reports():
         "fast_path_policies": ["lru"],
         "filter": {"reference_s": 1.0, "fast_s": 0.0},
         "replay": {},
-        "matrix": {"sequential_s": 1.0, "parallel_s": 1.0},
     }
     problems = validate_bench(broken)
     assert any("lru" in p for p in problems)

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import functools
 
-import pytest
-
 from repro.eval.missrate import miss_rate_reduction
 from repro.eval.runner import ArtifactCache, ExperimentConfig
-from repro.perf.parallel import parallel_map, run_matrix, task_seed
+from repro.perf.parallel import parallel_map, task_seed
 
 CONFIG = ExperimentConfig(trace_length=6_000)
 BENCHMARKS = ("mcf", "lbm")
@@ -43,46 +41,6 @@ def test_parallel_map_preserves_order():
 def test_parallel_map_accepts_partials():
     add = functools.partial(int.__add__, 10)
     assert parallel_map(add, [1, 2, 3], jobs=2) == [11, 12, 13]
-
-
-def test_run_matrix_parallel_is_bit_identical():
-    seq = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=1)
-    par = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=2)
-    assert seq.demand_miss_rates() == par.demand_miss_rates()
-    assert set(seq.cells) == {(b, p) for b in BENCHMARKS for p in POLICIES}
-
-
-def test_run_matrix_belady_pseudo_policy():
-    matrix = run_matrix(("mcf",), ("lru", "belady"), CONFIG, jobs=1)
-    lru = matrix.stats("mcf", "lru")
-    belady = matrix.stats("mcf", "belady")
-    # MIN provably maximises total hits.
-    assert belady.hits >= lru.hits
-
-
-def test_run_matrix_cell_granularity_matches_benchmark(tmp_path):
-    store = str(tmp_path / "store")
-    by_benchmark = run_matrix(
-        BENCHMARKS, POLICIES, CONFIG, jobs=1, granularity="benchmark"
-    )
-    by_cell = run_matrix(
-        BENCHMARKS, POLICIES, CONFIG, jobs=2, store=store, granularity="cell"
-    )
-    assert by_benchmark.demand_miss_rates() == by_cell.demand_miss_rates()
-
-
-def test_run_matrix_rejects_unknown_granularity():
-    with pytest.raises(ValueError):
-        run_matrix(BENCHMARKS, POLICIES, CONFIG, granularity="bogus")
-
-
-def test_run_matrix_cell_without_store_uses_ephemeral_store():
-    """Per-cell tasks without a caller store are backed by an ephemeral
-    one that the parent fills once per benchmark, so cell granularity
-    is safe (no per-cell stream recomputation) and bit-identical."""
-    by_cell = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=2, granularity="cell")
-    seq = run_matrix(BENCHMARKS, POLICIES, CONFIG, jobs=1)
-    assert by_cell.demand_miss_rates() == seq.demand_miss_rates()
 
 
 def test_experiment_driver_parallel_is_bit_identical(tmp_path):

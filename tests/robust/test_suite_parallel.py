@@ -8,6 +8,7 @@ import json
 from repro.robust.faults import BenchmarkFaultPlan
 from repro.robust.retry import DeadlineBudget, RetryPolicy
 from repro.robust.suite import RobustSuiteRunner
+from repro.robust.supervise import CrashJournal
 
 BENCHMARKS = ("alpha", "beta", "gamma", "delta")
 
@@ -93,3 +94,29 @@ def test_jobs_one_is_the_sequential_path():
     runner = RobustSuiteRunner(retry_policy=RetryPolicy(max_attempts=1))
     report = runner.run(BENCHMARKS, _slow_ok, jobs=1)
     assert list(report.completed) == list(BENCHMARKS)
+
+
+def test_jobs_one_and_two_journal_the_same_failures(tmp_path):
+    """One execution path: an injected fault and an already-expired
+    budget give the same report and the same journal at any ``jobs``."""
+
+    def run(jobs: int):
+        journal_path = tmp_path / f"journal-{jobs}.jsonl"
+        # Fake clock: 0 at construction, then +100s per look — expired
+        # before the first benchmark is submitted.
+        budget = DeadlineBudget(10.0, clock=itertools.count(0, 100).__next__)
+        runner = RobustSuiteRunner(
+            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
+            budget=budget,
+            fault_plan=BenchmarkFaultPlan.parse("beta"),
+            journal_path=journal_path,
+        )
+        report = runner.run(BENCHMARKS, _slow_ok, jobs=jobs)
+        entries = CrashJournal(journal_path).tasks()
+        return report, {(e["task"], e["taxonomy"]) for e in entries}
+
+    seq_report, seq_journal = run(1)
+    par_report, par_journal = run(2)
+    assert seq_report == par_report
+    assert seq_report.deadline_hit
+    assert seq_journal == par_journal == {(b, "deadline") for b in BENCHMARKS}

@@ -21,6 +21,7 @@ from repro.robust.supervise import (
     SupervisedTaskError,
     SuperviseConfig,
     TaskSupervisor,
+    task_seed,
 )
 
 
@@ -69,7 +70,7 @@ def test_compute_error_is_a_structured_journaled_outcome(tmp_path):
     assert entry["taxonomy"] == TAXONOMY_COMPUTE_ERROR
     assert entry["repro"] == "rerun three"
     assert entry["traceback_digest"]
-    assert isinstance(entry["seed"], int)
+    assert entry["seed"] == task_seed("three")
     assert entry["worker_pid"] != os.getpid()
 
 
