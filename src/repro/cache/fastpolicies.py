@@ -159,18 +159,6 @@ def _sampled_flags(stream, sampler: "_FlatOptGenSampler") -> list[bool]:
     return flags[(lines % np.uint64(sampler.num_sets)).astype(np.int64)].tolist()
 
 
-def _insight_recorder(config: CacheConfig):
-    """The active decision recorder iff it matches ``config``'s geometry.
-
-    Resolved once per :meth:`feed` call, never per access — the
-    disabled path costs the kernels exactly this one check.
-    """
-    rec = obs_insight.get_recorder()
-    if rec is not None and not rec.matches(config.num_sets, config.associativity):
-        rec = None
-    return rec
-
-
 # -- flat sampled-set OPTgen --------------------------------------------------
 
 
@@ -393,7 +381,7 @@ class _DRRIPKernel(_FlatKernel):
 
     def feed(self, stream, record=None) -> None:
         _drrip_feed(self, stream, record)
-        rec = _insight_recorder(self.config)
+        rec = obs_insight.recorder_for(self.config)
         if rec is not None:
             rec.record_model_state(
                 "drrip",
@@ -545,7 +533,7 @@ class _ShipKernel(_FlatKernel):
 
     def feed(self, stream, record=None) -> None:
         _ship_feed(self, stream, record)
-        rec = _insight_recorder(self.config)
+        rec = obs_insight.recorder_for(self.config)
         if rec is not None:
             shct = self.shct
             cmax = self.counter_max
@@ -709,7 +697,7 @@ class _HawkeyeKernel(_FlatKernel):
 
     def feed(self, stream, record=None) -> None:
         _hawkeye_feed(self, stream, record)
-        rec = _insight_recorder(self.config)
+        rec = obs_insight.recorder_for(self.config)
         if rec is not None:
             table = self.table
             cmax = self.counter_max
@@ -737,7 +725,7 @@ def _hawkeye_feed(kernel, stream, record) -> None:
     # Insight hooks: resolved once per feed; when no recorder is
     # installed the loop pays one `is not None` test per sampled access
     # and per eviction, nothing more.
-    rec = _insight_recorder(config)
+    rec = obs_insight.recorder_for(config)
     if rec is not None:
         rec_access = rec.on_demand_access
         rec_evict = rec.on_eviction
@@ -921,7 +909,7 @@ class _GliderKernel(_FlatKernel):
 
     def feed(self, stream, record=None) -> None:
         _glider_feed(self, stream, record)
-        rec = _insight_recorder(self.config)
+        rec = obs_insight.recorder_for(self.config)
         if rec is not None:
             from ..core.isvm import ISVM
 
@@ -1014,7 +1002,7 @@ def _glider_feed(kernel, stream, record) -> None:
     samp_acc = _sampled_flags(stream, sampler)
     # Insight hooks: one `is not None` test per sampled access and per
     # eviction when disabled.
-    rec = _insight_recorder(config)
+    rec = obs_insight.recorder_for(config)
     if rec is not None:
         rec_access = rec.on_demand_access
         rec_evict = rec.on_eviction

@@ -588,20 +588,18 @@ def replay(
     if not obs_metrics.ENABLED and obs_trace.get_tracer() is None:
         return _run(kernel, stream, record)
 
-    pname = policy if isinstance(policy, str) else getattr(
-        policy, "name", type(policy).__name__
-    )
+    pname = policy if isinstance(policy, str) else policy.name
     used = "reference" if isinstance(kernel, _ReferenceKernel) else "fast"
     accesses = len(stream.addresses)
     with obs_trace.span(
-        "sim.replay", policy=str(pname), engine=used, accesses=accesses,
+        "sim.replay", policy=pname, engine=used, accesses=accesses,
         benchmark=stream.name,
     ):
         t0 = time.perf_counter()
         stats = _run(kernel, stream, record)
         elapsed = time.perf_counter() - t0
     if obs_metrics.ENABLED:
-        labels = {"policy": str(pname), "engine": used}
+        labels = {"policy": pname, "engine": used}
         obs_metrics.counter("sim.replay.calls", **labels).inc()
         obs_metrics.counter("sim.replay.accesses", **labels).inc(accesses)
         if elapsed > 0:
@@ -609,7 +607,7 @@ def replay(
                 accesses / elapsed
             )
         obs_instrument.record_cache_stats(
-            stats, prefix="sim.llc", policy=str(pname), benchmark=stream.name
+            stats, prefix="sim.llc", policy=pname, benchmark=stream.name
         )
         if not isinstance(policy, str):
             obs_instrument.record_policy_introspection(

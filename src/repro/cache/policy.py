@@ -18,6 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Sentinel a policy's victim() may return to bypass the cache entirely.
 BYPASS = -1
 
+#: The ``CacheLine.policy_state`` key every RRPV-managed policy stores a
+#: line's re-reference prediction value under.
+RRPV_KEY = "rrpv"
+
 
 class ReplacementPolicy:
     """Base class for replacement policies.
@@ -62,6 +66,10 @@ class ReplacementPolicy:
     #: reference engine, and only its registry name takes the kernel
     #: that :meth:`fast_kernel` declares.
     kernel_by_name_only = False
+
+    #: Largest legal RRPV this policy stores under :data:`RRPV_KEY`, or
+    #: None for policies that keep no RRPV line state.
+    max_rrpv: int | None = None
 
     def __init__(self) -> None:
         self.cache: "SetAssociativeCache | None" = None
@@ -132,6 +140,11 @@ class ReplacementPolicy:
         the reference engine unless it declares its own.
         """
         return None
+
+    def introspect(self) -> dict:
+        """JSON-safe internal signals, published after a run by
+        :func:`repro.obs.instrument.record_policy_introspection`."""
+        return {}
 
     def predict(self, pc: int, address: int, core: int) -> dict | None:
         """JSON-safe reuse prediction for ``pc`` touching ``address`` on

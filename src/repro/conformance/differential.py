@@ -8,8 +8,8 @@ is pushed through every check relevant to each registry policy:
   (access-by-access events plus final stats);
 * **invariant-checked replay** — reference-only policies replay on the
   object engine with the :mod:`~repro.conformance.invariants` checkers
-  attached (fast-path policies get the same checkers for free via the
-  parity run's reference leg);
+  attached (fast-path policies do not: :func:`verify_parity`'s
+  reference leg runs no checkers);
 * **Belady upper bound** — every policy's total hit count must not
   exceed brute-force Belady MIN's on the same line sequence (MIN with
   bypass is optimal per set, so any policy exceeding it proves a

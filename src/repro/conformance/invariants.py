@@ -9,9 +9,9 @@ invariant is broken:
 * **occupancy conservation** — the cache's O(1) occupancy counter must
   equal the number of valid lines actually resident, no set may hold
   the same tag twice, and occupancy can never exceed capacity;
-* **RRPV bounds** — every RRIP-family line's RRPV stays within
-  ``[0, max_rrpv]`` (the ageing loop must terminate without
-  overshooting);
+* **RRPV bounds** — every line's RRPV stays within the policy's
+  declared ``[0, max_rrpv]`` (RRIP-family ageing, Hawkeye/Glider
+  insertion and ageing must never overshoot);
 * **ISVM weight saturation** — Glider's integer-SVM weights stay inside
   the signed 8-bit hardware range and the adaptive threshold stays one
   of the candidate values;
@@ -32,9 +32,9 @@ from typing import Iterable
 
 from ..cache.cache import SetAssociativeCache
 from ..cache.config import CacheConfig
+from ..cache.policy import RRPV_KEY
 from ..cache.stats import CacheStats
 from ..optgen.optgen import OptGen, SetOptGen
-from ..policies.rrip import RRPV_KEY
 
 __all__ = [
     "InvariantViolation",
@@ -86,7 +86,7 @@ def check_cache_state(cache: SetAssociativeCache) -> None:
 
 def check_rrpv_bounds(cache: SetAssociativeCache) -> None:
     """Every stored RRPV is within the policy's declared bit-width."""
-    max_rrpv = getattr(cache.policy, "max_rrpv", None)
+    max_rrpv = cache.policy.max_rrpv
     if max_rrpv is None:
         return
     for set_index, ways in enumerate(cache.sets):

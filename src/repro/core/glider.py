@@ -14,18 +14,17 @@ Insertion priorities (Section 4.4, "Prediction"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from ..cache.block import AccessType, CacheLine, CacheRequest
-from ..cache.policy import ReplacementPolicy
+from ..cache.policy import RRPV_KEY, ReplacementPolicy
 from ..obs import insight as obs_insight
 from ..optgen.sampler import OptGenSampler
 from .features import PCHistoryRegister
 from .isvm import Confidence, ISVMTable, Prediction
 
-#: policy_state keys.
-RRPV_KEY = "glider_rrpv"
+#: policy_state keys (the RRPV lives under the shared ``RRPV_KEY``).
 FRIENDLY_KEY = "glider_friendly"
 CONTEXT_KEY = "glider_context"
 
@@ -73,6 +72,7 @@ class GliderPolicy(ReplacementPolicy):
 
     name = "glider"
     kernel_by_name_only = True
+    max_rrpv = MAX_RRPV
 
     def __init__(self, config: GliderConfig | None = None) -> None:
         super().__init__()
@@ -206,7 +206,7 @@ class GliderPolicy(ReplacementPolicy):
                 history=history, predicted_friendly=prediction.is_friendly
             )
             line = request.address >> 6
-            recorder = obs_insight.get_recorder()
+            recorder = obs_insight.recorder_for(self.cache)
             if recorder is not None:
                 recorder.on_demand_access(
                     line,
@@ -257,7 +257,7 @@ class GliderPolicy(ReplacementPolicy):
                 # survives.
                 if context is not None and line.policy_state.get(FRIENDLY_KEY):
                     self.isvm.train(line.pc, context, cache_friendly=False)
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             line = ways[victim_way]
             recorder.on_eviction(
@@ -297,7 +297,8 @@ class GliderPolicy(ReplacementPolicy):
     # -- observability ---------------------------------------------------------------
     def introspect(self) -> dict:
         """Internal signals for the observability layer (JSON-safe):
-        prediction confusion, ISVM weight health, OPTgen occupancy."""
+        prediction confusion, ISVM weight health and training counters,
+        OPTgen occupancy."""
         health = self.isvm.health()
         payload = {
             "prediction_checks": self.prediction_checks,
@@ -305,13 +306,10 @@ class GliderPolicy(ReplacementPolicy):
             "online_accuracy": self.online_accuracy,
             "threshold": self.isvm.threshold,
             "isvm_health": {
-                "num_entries": health.num_entries,
-                "active_entries": health.active_entries,
-                "active_weights": health.active_weights,
-                "saturated_weights": health.saturated_weights,
-                "max_abs_weight": health.max_abs_weight,
+                **asdict(health),
                 "saturated_fraction": health.saturated_fraction,
             },
+            "isvm_stats": asdict(self.isvm.stats),
         }
         if self.sampler is not None:
             payload["optgen_events"] = self.sampler.events_produced

@@ -6,12 +6,13 @@ nothing in the repo observed prediction *quality* while a replay or the
 process-global :class:`DecisionRecorder` behind the same
 zero-cost-when-disabled contract as :mod:`repro.obs.metrics`:
 
-* **Decision events** — the reference policies and the
-  :mod:`repro.cache.fastpolicies` kernels call
-  :func:`get_recorder` once per replay/feed and, only when a recorder is
-  installed, report each sampled-set demand access (with the prediction
-  the policy just made: friendly/averse, ISVM margin, Hawkeye counter)
-  and each eviction (victim line, predicted-friendly bit, RRPV).
+* **Decision events** — the reference policies (per hook) and the
+  :mod:`repro.cache.fastpolicies` kernels (per feed) call
+  :func:`recorder_for` with their LLC geometry and, only when a recorder
+  built for that geometry is installed, report each sampled-set demand
+  access (with the prediction the policy just made: friendly/averse,
+  ISVM margin, Hawkeye counter) and each eviction (victim line,
+  predicted-friendly bit, RRPV).
 * **Deferred ground truth** — the recorder owns its own rolling OPTgen
   window (the same :class:`~repro.cache.fastpolicies._FlatOptGenSampler`
   machinery the kernels train with, over the same 64 sampled sets), so
@@ -33,9 +34,8 @@ into the :mod:`repro.obs.metrics` registry (``insight.*`` keys, with
 optional constant labels such as ``shard=N`` for the serving stack).
 
 Disabled-path contract: when no recorder is installed the *only* cost
-to the hot simulation loops is one module-function call per feed and
-one ``is not None`` test per sampled access / eviction — never a dict
-lookup or attribute chase per access.
+to a reporting site is one :func:`recorder_for` call and one ``is not
+None`` test — never a dict lookup or attribute chase per access.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "enable",
     "get_recorder",
     "load_artifact",
+    "recorder_for",
     "save_artifact",
     "validate_artifact",
 ]
@@ -69,9 +70,9 @@ class DecisionRecorder:
     """Scores sampled replacement decisions against a rolling OPTgen.
 
     One recorder serves one LLC geometry (``num_sets`` x
-    ``associativity``); engines verify the geometry with
-    :meth:`matches` before reporting so a stale recorder can never
-    corrupt itself with mismatched set indices.
+    ``associativity``); engines and policies obtain it only through
+    :func:`recorder_for`, which checks :meth:`matches`, so a stale
+    recorder can never corrupt itself with mismatched set indices.
     """
 
     def __init__(
@@ -450,6 +451,17 @@ def disable() -> DecisionRecorder | None:
 def get_recorder() -> DecisionRecorder | None:
     """The installed recorder, or None (the common, zero-cost case)."""
     return _RECORDER
+
+
+def recorder_for(geometry) -> DecisionRecorder | None:
+    """The installed recorder iff it :meth:`~DecisionRecorder.matches`
+    ``geometry`` (the caller's LLC ``CacheConfig`` or cache), else None."""
+    recorder = _RECORDER
+    if recorder is None or not recorder.matches(
+        geometry.num_sets, geometry.associativity
+    ):
+        return None
+    return recorder
 
 
 def active() -> bool:

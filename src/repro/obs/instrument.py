@@ -1,27 +1,32 @@
 """Bridges from runtime objects onto the metrics registry.
 
-Everything here is duck-typed and guarded by the :data:`metrics.ENABLED`
-flag at the call site, so the simulator/training/supervisor layers can
-call these helpers unconditionally.  The helpers read whatever
-introspection the object offers (``CacheStats`` counters, a policy's
-``introspect()`` payload, ``ISVMTable.health()``) and mirror it onto
-counters/gauges/histograms — they never mutate the source object.
+Every helper is guarded by the :data:`metrics.ENABLED` flag, so the
+simulator layers can call them unconditionally.  They read declared
+interfaces only — :class:`~repro.cache.stats.CacheStats` fields and a
+policy's :meth:`~repro.cache.policy.ReplacementPolicy.introspect`
+payload — and mirror them onto counters/gauges/histograms; they never
+mutate the source object.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from . import metrics
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cache.policy import ReplacementPolicy
+    from ..cache.stats import CacheStats
+
 __all__ = [
     "record_cache_stats",
-    "record_guard_report",
     "record_policy_introspection",
 ]
 
 
-def record_cache_stats(stats: Any, prefix: str = "cache", **labels: Any) -> None:
+def record_cache_stats(
+    stats: "CacheStats", prefix: str = "cache", **labels: Any
+) -> None:
     """Mirror a :class:`repro.cache.stats.CacheStats` onto the registry.
 
     ``prefix`` namespaces the metrics (``cache``, ``sim`` ...); extra
@@ -29,75 +34,46 @@ def record_cache_stats(stats: Any, prefix: str = "cache", **labels: Any) -> None
     """
     if not metrics.ENABLED:
         return
-    for field in (
-        "demand_hits",
-        "demand_misses",
-        "writeback_hits",
-        "writeback_misses",
-        "bypasses",
-        "evictions",
-        "dirty_evictions",
+    for field, value in (
+        ("demand_hits", stats.demand_hits),
+        ("demand_misses", stats.demand_misses),
+        ("writeback_hits", stats.writeback_hits),
+        ("writeback_misses", stats.writeback_misses),
+        ("bypasses", stats.bypasses),
+        ("evictions", stats.evictions),
+        ("dirty_evictions", stats.dirty_evictions),
     ):
-        value = getattr(stats, field, None)
-        if value is not None:
-            metrics.counter(f"{prefix}.{field}", **labels).inc(value)
-    for field in ("per_core_hits", "per_core_misses"):
-        per_core = getattr(stats, field, None)
-        if per_core:
-            name = f"{prefix}.{field[len('per_core_'):]}"
-            for core, value in per_core.items():
-                metrics.counter(name, core=core, **labels).inc(value)
-    miss_rate = getattr(stats, "demand_miss_rate", None)
-    if miss_rate is not None:
-        metrics.gauge(f"{prefix}.demand_miss_rate", **labels).set(miss_rate)
-
-
-def _record_isvm_health(health: Any, **labels: Any) -> None:
-    for field in (
-        "num_entries",
-        "active_entries",
-        "active_weights",
-        "saturated_weights",
-        "max_abs_weight",
-        "saturated_fraction",
+        metrics.counter(f"{prefix}.{field}", **labels).inc(value)
+    for name, per_core in (
+        ("hits", stats.per_core_hits),
+        ("misses", stats.per_core_misses),
     ):
-        value = getattr(health, field, None)
-        if value is not None:
-            metrics.gauge(f"policy.isvm.{field}", **labels).set(value)
-
-
-def _record_occupancy(sampler: Any, **labels: Any) -> None:
-    histogram_fn = getattr(sampler, "occupancy_histogram", None)
-    if histogram_fn is None:
-        return
-    occupancy: Mapping[int, int] = histogram_fn()
-    if not occupancy:
-        return
-    assoc = getattr(sampler, "associativity", max(occupancy))
-    hist = metrics.histogram(
-        "policy.optgen.occupancy",
-        buckets=[float(i) for i in range(int(assoc) + 1)],
-        **labels,
+        for core, value in per_core.items():
+            metrics.counter(f"{prefix}.{name}", core=core, **labels).inc(value)
+    metrics.gauge(f"{prefix}.demand_miss_rate", **labels).set(
+        stats.demand_miss_rate
     )
-    for level, count in occupancy.items():
-        hist.observe(level, n=count)
 
 
-def record_policy_introspection(policy: Any, **labels: Any) -> None:
-    """Publish a policy's internal signals (confusion, ISVM health,
-    OPTgen occupancy) after a simulation run.
+def record_policy_introspection(policy: "ReplacementPolicy", **labels: Any) -> None:
+    """Publish a policy's :meth:`introspect` payload after a simulation run.
 
-    Works for any policy; policies without a given signal contribute
-    nothing for it.  Labels usually carry ``policy=`` and ``benchmark=``.
+    Payload keys read: ``prediction_checks``/``prediction_correct``
+    (``policy.predictions.*`` confusion counters and accuracy gauge),
+    ``isvm_health`` (``policy.isvm.*`` gauges), ``isvm_stats``
+    (``policy.isvm.*`` counters) and ``optgen_occupancy`` (the
+    ``policy.optgen.occupancy`` histogram, one bucket per way).  A
+    policy without a signal contributes nothing for it.  Labels usually
+    carry ``benchmark=``; ``policy=`` defaults to the policy's name.
     """
     if not metrics.ENABLED:
         return
-    name = getattr(policy, "name", type(policy).__name__)
-    labels.setdefault("policy", name)
+    labels.setdefault("policy", policy.name)
+    payload = policy.introspect()
 
-    checks = getattr(policy, "prediction_checks", None)
-    correct = getattr(policy, "prediction_correct", None)
-    if checks is not None and correct is not None:
+    checks = payload.get("prediction_checks")
+    if checks is not None:
+        correct = payload["prediction_correct"]
         metrics.counter("policy.predictions.checked", **labels).inc(checks)
         metrics.counter("policy.predictions.correct", **labels).inc(correct)
         metrics.counter("policy.predictions.wrong", **labels).inc(checks - correct)
@@ -106,25 +82,17 @@ def record_policy_introspection(policy: Any, **labels: Any) -> None:
                 correct / checks
             )
 
-    isvm = getattr(policy, "isvm", None)
-    if isvm is not None and hasattr(isvm, "health"):
-        _record_isvm_health(isvm.health(), **labels)
-        stats = getattr(isvm, "stats", None)
-        if stats is not None:
-            for field in ("trainings", "gated_updates", "predictions"):
-                value = getattr(stats, field, None)
-                if value is not None:
-                    metrics.counter(f"policy.isvm.{field}", **labels).inc(value)
+    for field, value in payload.get("isvm_health", {}).items():
+        metrics.gauge(f"policy.isvm.{field}", **labels).set(value)
+    for field, value in payload.get("isvm_stats", {}).items():
+        metrics.counter(f"policy.isvm.{field}", **labels).inc(value)
 
-    sampler = getattr(policy, "sampler", None)
-    if sampler is not None:
-        _record_occupancy(sampler, **labels)
-
-
-def record_guard_report(report: Any, **labels: Any) -> None:
-    """Mirror a :class:`repro.robust.guards.GuardReport` onto counters."""
-    if not metrics.ENABLED:
-        return
-    for event in getattr(report, "events", ()):
-        kind = getattr(event, "kind", None) or str(event)
-        metrics.counter("train.guard.events", kind=kind, **labels).inc()
+    occupancy = payload.get("optgen_occupancy")
+    if occupancy:
+        hist = metrics.histogram(
+            "policy.optgen.occupancy",
+            buckets=[float(i) for i in range(policy.associativity + 1)],
+            **labels,
+        )
+        for level, count in occupancy.items():
+            hist.observe(level, n=count)

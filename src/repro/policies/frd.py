@@ -198,7 +198,7 @@ class FRDPolicy(ReplacementPolicy):
     def on_access(self, set_index: int, request: CacheRequest) -> None:
         state = self._state(set_index)
         state.clock += 1
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             bucket = state.predictor.predict(request.pc, request.address)
             recorder.on_demand_access(
@@ -247,7 +247,7 @@ class FRDPolicy(ReplacementPolicy):
         victim_way = max(
             range(len(ways)), key=lambda w: self._predicted_next(ways[w])
         )
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             line = ways[victim_way]
             bucket = line.policy_state.get(BUCKET_KEY)

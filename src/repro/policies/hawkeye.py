@@ -16,12 +16,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..cache.block import AccessType, CacheLine, CacheRequest
-from ..cache.policy import ReplacementPolicy
+from ..cache.policy import RRPV_KEY, ReplacementPolicy
 from ..obs import insight as obs_insight
 from ..optgen.sampler import OptGenSampler
 
-#: policy_state keys shared by Hawkeye-structured policies.
-RRPV_KEY = "hawkeye_rrpv"
+#: policy_state key of the predicted-friendly bit.
 FRIENDLY_KEY = "hawkeye_friendly"
 
 #: Hawkeye's RRPV width (3 bits: 0..7).
@@ -65,6 +64,7 @@ class HawkeyePolicy(ReplacementPolicy):
 
     name = "hawkeye"
     kernel_by_name_only = True
+    max_rrpv = MAX_RRPV
 
     def __init__(
         self,
@@ -142,7 +142,7 @@ class HawkeyePolicy(ReplacementPolicy):
             return
         line = request.address >> 6
         context = self._context(request)
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             recorder.on_demand_access(
                 line,
@@ -182,7 +182,7 @@ class HawkeyePolicy(ReplacementPolicy):
                 range(len(ways)), key=lambda w: ways[w].policy_state.get(RRPV_KEY, 0)
             )
             self.predictor.train(ways[victim_way].pc, cache_friendly=False)
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             line = ways[victim_way]
             recorder.on_eviction(

@@ -156,7 +156,7 @@ class MustachePolicy(ReplacementPolicy):
     def on_access(self, set_index: int, request: CacheRequest) -> None:
         state = self._state(set_index)
         state.clock += 1
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             gap = state.gaps[self._pc_index(request.pc)] or self._default_gap()
             recorder.on_demand_access(
@@ -208,7 +208,7 @@ class MustachePolicy(ReplacementPolicy):
             )
             if len(self.recent_hints) > 16:
                 del self.recent_hints[0]
-        recorder = obs_insight.get_recorder()
+        recorder = obs_insight.recorder_for(self.cache)
         if recorder is not None:
             line = ways[victim_way]
             recorder.on_eviction(

@@ -167,9 +167,7 @@ def stream_replay(
     if resume and store is None:
         raise ValueError("resume=True requires an ArtifactStore (store=)")
     run_key = run_key or _default_run_key(path, policy, on_error)
-    pname = policy if isinstance(policy, str) else getattr(
-        policy, "name", type(policy).__name__
-    )
+    pname = policy if isinstance(policy, str) else policy.name
 
     adapter = open_adapter(
         path,
@@ -263,7 +261,7 @@ def stream_replay(
     return StreamReplayResult(
         path=str(path),
         format=adapter.format,
-        policy=str(pname),
+        policy=pname,
         stats=stats,
         ingest=adapter.stats,
         records=records,

@@ -237,3 +237,35 @@ class TestScoringParity:
         observed = replay(stream, policy_name, config)
         insight.disable()
         assert observed == baseline
+
+
+#: ``_recorder_stats`` of a matching-geometry recorder after a
+#: reference replay of ``_synthetic_stream(seed=7)`` on ``_llc()``.
+_REFERENCE_COUNTS = {
+    "hawkeye": (3058, 1734, 3389, 3443, 3443, 228, 322, 1002, 1506, 953),
+    "glider": (3058, 1690, 3389, 3470, 3470, 211, 349, 1019, 1479, 960),
+    "frd": (3058, 1580, 3389, 3458, 3458, 367, 615, 863, 1213, 1004),
+    "mustache": (3058, 1802, 3389, 3431, 3431, 59, 85, 1171, 1743, 983),
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(_REFERENCE_COUNTS))
+class TestReferenceGeometryGate:
+    """Reference policies report only into a recorder built for their
+    cache's geometry, as the kernels do."""
+
+    def _replay(self, policy_name: str, recorder_config: CacheConfig):
+        recorder = insight.enable(recorder_config, num_sampled_sets=16)
+        llc = SetAssociativeCache(_llc(), make_policy(policy_name))
+        for request in _synthetic_stream(seed=7).requests():
+            llc.access(request)
+        insight.disable()
+        return recorder
+
+    def test_mismatched_recorder_receives_nothing(self, policy_name):
+        recorder = self._replay(policy_name, _llc(64, 16))
+        assert _recorder_stats(recorder) == (0,) * 10
+
+    def test_matching_recorder_counts_are_unchanged(self, policy_name):
+        recorder = self._replay(policy_name, _llc())
+        assert _recorder_stats(recorder) == _REFERENCE_COUNTS[policy_name]
